@@ -31,6 +31,7 @@ explains the model behind these numbers.
 """
 
 import os
+import statistics
 import time
 
 import pytest
@@ -55,6 +56,15 @@ BATCH_MIN_SPEEDUP = 1.3
 SCALING_MIN_SPEEDUP = 2.0
 #: Monotonicity tolerance: adding workers may cost at most 5% (noise).
 NOISE = 0.95
+#: Faults in the 2-worker micro check.  Sized by kernel work, not by
+#: count: with the predecoded interpreter a golden sha-tiny fault costs
+#: ~0.25 ms in-process, so 960 faults (60 shards) is ~0.25 s of work.
+#: At 96 faults (~24 ms, 6 shards) a 2-vCPU host's idle-worker wake-up
+#: and steal alone decide the ratio.
+MICRO_FAULTS = 960
+#: Timed runs per worker count in the micro check, interleaved; the
+#: check compares medians, so one run hit by host steal cannot decide it.
+MICRO_RUNS = 3
 
 
 def effective_cores() -> int:
@@ -212,28 +222,39 @@ def test_scaling_gate(measurements, record_bench):
 def test_two_worker_micro_scaling(record_bench):
     """The ``make scaling-smoke`` cell: a small golden campaign at 1 vs 2
     workers on warm pools.  Statistics must match everywhere; the
-    throughput ratio is asserted only when a second core exists."""
+    throughput ratio (median of interleaved timed runs) is asserted only
+    when a second core exists."""
     cores = effective_cores()
     shutdown_pools()
     spec = _spec("golden")
-    faults = CampaignRunner(spec).campaign.random_single_bit(96, seed=SEED)
+    faults = CampaignRunner(spec).campaign.random_single_bit(
+        MICRO_FAULTS, seed=SEED
+    )
+    runners = {
+        workers: CampaignRunner(spec, workers=workers) for workers in (1, 2)
+    }
     results = {}
-    ratios = {}
-    for workers in (1, 2):
-        runner = CampaignRunner(spec, workers=workers)
-        warmup = runner.run(faults, seed=SEED)
-        start = time.perf_counter()
-        result = runner.run(faults, seed=SEED)
-        ratios[workers] = len(faults) / (time.perf_counter() - start)
-        results[workers] = result.summary()
-        assert result.summary() == warmup.summary()
+    rates: dict[int, list[float]] = {1: [], 2: []}
+    for workers, runner in runners.items():
+        results[workers] = runner.run(faults, seed=SEED).summary()
+    for _ in range(MICRO_RUNS):
+        for workers, runner in runners.items():
+            start = time.perf_counter()
+            result = runner.run(faults, seed=SEED)
+            rates[workers].append(len(faults) / (time.perf_counter() - start))
+            assert result.summary() == results[workers]
     shutdown_pools()
+    medians = {
+        workers: statistics.median(values) for workers, values in rates.items()
+    }
     record_bench(
         effective_cores=cores,
+        faults=MICRO_FAULTS,
+        runs=MICRO_RUNS,
         micro_faults_per_second={
-            str(workers): round(value, 2) for workers, value in ratios.items()
+            str(workers): round(value, 2) for workers, value in medians.items()
         },
     )
     assert results[1] == results[2]
     if cores >= 2:
-        assert ratios[2] >= NOISE * ratios[1], ratios
+        assert medians[2] >= NOISE * medians[1], rates

@@ -62,6 +62,16 @@ class MemoryAccessError(SimulationError):
     """An access touched an unmapped or misaligned address."""
 
 
+class InstructionBudgetExceeded(SimulationError):
+    """A run exhausted its instruction (or cycle) budget.
+
+    Raised by the budget check, by the armed hang detector that proves the
+    budget would be exhausted, and by the cycle-level backend's budget
+    sites.  Fault campaigns classify it as a HANG by type; its message keeps
+    the historical ``instruction limit N exceeded`` text.
+    """
+
+
 class MonitorViolation(ReproError):
     """Raised by the OS model when the CIC reports an unrecoverable mismatch.
 

@@ -539,12 +539,13 @@ class HarnessRunner:
 
             handle = None
             if out_path is not None:
-                handle = open(
-                    out_path, "a" if resuming else "w", encoding="utf-8"
-                )
-                if not resuming:
-                    handle.write(dump_line(job.header()))
-                    handle.flush()
+                with telem.span("output"):
+                    handle = open(
+                        out_path, "a" if resuming else "w", encoding="utf-8"
+                    )
+                    if not resuming:
+                        handle.write(dump_line(job.header()))
+                        handle.flush()
 
             progress = {
                 "shards_done": len(done_shards),
@@ -629,9 +630,11 @@ class HarnessRunner:
                         )
             finally:
                 if handle is not None:
-                    handle.close()
+                    with telem.span("output"):
+                        handle.close()
                 if events is not None:
-                    events.close()
+                    with telem.span("events"):
+                        events.close()
 
         if collect:
             telem.merge(obs.local().drain())

@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from repro.errors import (
     ConfigurationError,
     DecodingError,
+    InstructionBudgetExceeded,
     MemoryAccessError,
     MonitorViolation,
     SimulationError,
@@ -235,12 +236,7 @@ def classify_pipeline_run(
     try:
         result = cpu.run(until=budget)
         if not result.finished:
-            return FaultResult(
-                fault,
-                Outcome.HANG,
-                f"instruction limit {budget} exceeded",
-                cycles=cpu.cycles,
-            )
+            raise InstructionBudgetExceeded(f"instruction limit {budget} exceeded")
     except MonitorViolation as error:
         return FaultResult(
             fault, Outcome.DETECTED_CIC, str(error), probe.latency(), cpu.cycles
@@ -261,16 +257,16 @@ def classify_pipeline_run(
             probe.latency(),
             cpu.cycles,
         )
+    except InstructionBudgetExceeded:
+        # The instruction budget, or the cycle ceiling as a secondary
+        # guard; both report the canonical budget detail of every backend.
+        return FaultResult(
+            fault,
+            Outcome.HANG,
+            f"instruction limit {budget} exceeded",
+            cycles=cpu.cycles,
+        )
     except SimulationError as error:
-        if "limit" in str(error) and "exceeded" in str(error):
-            # The cycle ceiling is a secondary guard; report the same
-            # canonical budget detail as every other backend.
-            return FaultResult(
-                fault,
-                Outcome.HANG,
-                f"instruction limit {budget} exceeded",
-                cycles=cpu.cycles,
-            )
         return FaultResult(fault, Outcome.CRASHED, str(error), cycles=cpu.cycles)
     if (
         result.console == context.golden_console

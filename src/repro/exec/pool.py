@@ -32,15 +32,24 @@ so long pytest sessions cannot accumulate worker processes.  All pools
 are torn down at interpreter exit (and by :func:`shutdown_pools`, which
 tests call to assert reuse from a clean slate).
 
-Correctness is unaffected by reuse: workspaces are read-only recipes for
-per-item execution (per-injection state is rebuilt or restored inside
-the kernels), and the scaling/invariance tier pins that a reused pool
-produces byte-identical records to a cold one.
+Dispatch is grouped.  Every hand-off between the parent and a worker
+(task pipe, result pipe, the parent's pool threads waking on a host
+whose cores the workers already fill) costs about 1–2 ms of wall time
+on a 2-vCPU VM: noise beside a 10 ms shard, but as much as a ~4 ms
+golden shard of the predecoded interpreter.  Like ``Pool.map``, a warm
+pool therefore sends each worker about four tasks per run, each a group
+of consecutive shards — capped so a task carries at most
+:data:`DISPATCH_TARGET_S` of kernel work, judged by the mean worker
+seconds per shard of the pool's previous run.  A pool that has not yet
+finished a run, and any run of heavy shards, dispatches one shard per
+task, so long campaigns keep their commit latency and resume
+granularity.  Every shard is still committed on its own.
 """
 
 from __future__ import annotations
 
 import atexit
+import math
 import pickle
 from typing import Callable
 
@@ -51,6 +60,30 @@ from repro.exec.sharing import SharedPayload, publish, release
 #: pools of at most a few workers each bounds stray processes while
 #: letting a bench sweep (three backends) plus a test file coexist.
 MAX_POOLS = 4
+
+#: Most kernel seconds one grouped task may carry, so grouping delays a
+#: shard's commit by at most this much.
+DISPATCH_TARGET_S = 0.1
+
+#: Tasks per worker and run once shards are grouped (as ``Pool.map``):
+#: few enough to amortize hand-offs, enough to balance a noisy host.
+TASKS_PER_WORKER = 4
+
+
+def dispatch_chunksize(
+    shard_seconds: float | None, count: int, workers: int
+) -> int:
+    """Shards per dispatched task for a run of *count* shards.
+
+    One per task until a run has measured *shard_seconds*; then
+    :data:`TASKS_PER_WORKER` tasks per worker, each carrying at most
+    :data:`DISPATCH_TARGET_S` of work.
+    """
+    if not shard_seconds:
+        return 1
+    per_task = math.ceil(count / (TASKS_PER_WORKER * workers))
+    cap = math.ceil(DISPATCH_TARGET_S / shard_seconds)
+    return max(1, min(per_task, cap))
 
 
 def _factory_key(factory, workers: int, share: bool) -> tuple:
@@ -86,6 +119,9 @@ class WarmPool:
         #: Harness runs served (1 = just built): tests and benchmarks
         #: read this to assert a pool was actually reused.
         self.runs = 0
+        #: Mean worker seconds per shard over the previous run; ``None``
+        #: until one has finished, so a new pool dispatches one by one.
+        self.shard_seconds: float | None = None
         self._ticket = ticket
         self._pool = context.Pool(
             processes=workers,
@@ -94,11 +130,32 @@ class WarmPool:
         )
 
     def imap_shards(self, tasks):
-        """Dispatch shard tasks to the warm workers, unordered."""
+        """Dispatch shard tasks to the warm workers, unordered.
+
+        Yields ``(shard_id, records, meta)`` per shard as its task
+        completes; see the module docstring for how shards are grouped.
+        """
         from repro.exec.harness import _pool_shard
 
         self.runs += 1
-        return self._pool.imap_unordered(_pool_shard, tasks)
+        results = self._pool.imap_unordered(
+            _pool_shard,
+            tasks,
+            chunksize=dispatch_chunksize(
+                self.shard_seconds, len(tasks), self.workers
+            ),
+        )
+        return self._observe(results)
+
+    def _observe(self, results):
+        seconds = 0.0
+        shards = 0
+        for result in results:
+            seconds += result[2]["seconds"]
+            shards += 1
+            yield result
+        if shards:
+            self.shard_seconds = seconds / shards
 
     def close(self) -> None:
         """Tear the pool down and release its shared payload."""

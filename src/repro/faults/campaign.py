@@ -39,7 +39,13 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.errors import DecodingError, MemoryAccessError, MonitorViolation, SimulationError
+from repro.errors import (
+    DecodingError,
+    InstructionBudgetExceeded,
+    MemoryAccessError,
+    MonitorViolation,
+    SimulationError,
+)
 from repro.asm.program import Program
 from repro.cfg.hashgen import build_fht
 from repro.cic.fht import FullHashTable
@@ -55,7 +61,7 @@ from repro.faults.models import (
     split_perturbation,
 )
 from repro.osmodel.loader import load_process
-from repro.pipeline.funcsim import FuncSim, run_program
+from repro.pipeline.funcsim import DecodeCache, FuncSim, run_program
 from repro.pipeline.trace import executed_addresses
 
 
@@ -256,7 +262,7 @@ class WarmProcess:
     program: Program
     fht: FullHashTable
     hash_name: str
-    decode_cache: dict = field(default_factory=dict)
+    decode_cache: DecodeCache = field(default_factory=DecodeCache)
 
     @classmethod
     def from_context(cls, context: "CampaignContext") -> "WarmProcess":
@@ -314,17 +320,17 @@ def classify_run(
         return FaultResult(
             fault, Outcome.DETECTED_BASELINE, str(error), probe.latency()
         )
+    except InstructionBudgetExceeded:
+        # Canonical detail: the budget path reports the pc it happened
+        # to reach and the cycling detector the loop state it caught,
+        # so normalizing keeps HANG records identical across backends
+        # and detector settings.
+        return FaultResult(
+            fault,
+            Outcome.HANG,
+            f"instruction limit {context.instruction_budget} exceeded",
+        )
     except SimulationError as error:
-        if "instruction limit" in str(error):
-            # Canonical detail: the budget path reports the pc it happened
-            # to reach and the cycling detector the loop state it caught,
-            # so normalizing keeps HANG records identical across backends
-            # and detector settings.
-            return FaultResult(
-                fault,
-                Outcome.HANG,
-                f"instruction limit {context.instruction_budget} exceeded",
-            )
         return FaultResult(fault, Outcome.CRASHED, str(error))
     if (
         result.console == context.golden_console

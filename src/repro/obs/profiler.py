@@ -6,11 +6,15 @@ Answers "where does simulated time go on the *host*?" for one
 into the four phases the paper's pipeline names — fetch, decode,
 execute, and the monitor beside them.  Attachment is pure observation:
 
-* the simulator's ``_fetch``/``_decode``/``_execute`` (FuncSim) or
-  ``_fetch_latch``/``_decode``/``_execute_stage`` (PipelineCPU) bound
-  methods are shadowed by timing wrappers **on the instance** — the
-  class is untouched, other simulators in the process are unaffected,
-  and :meth:`PhaseProfiler.detach` restores the instance exactly;
+* PipelineCPU's ``_fetch_latch``/``_decode``/``_execute_stage`` bound
+  methods, and FuncSim's ``_bind_phases`` (which hands its predecoded
+  loop the fetch, op-lookup and translate callables once per ``run``),
+  are shadowed by timing wrappers **on the instance** — the class is
+  untouched, other simulators in the process are unaffected, an
+  unprofiled FuncSim step pays nothing, and
+  :meth:`PhaseProfiler.detach` restores the instance exactly.  On
+  FuncSim, fetch is the text read, decode the op-record lookup (and
+  the first-fetch translate), and execute the record's handler;
 * the attached :class:`Monitor`, if any, is replaced by a transparent
   proxy that times ``on_instruction``/``on_block_end`` and forwards
   everything else (``.stats`` included, so ``RunResult.monitor_stats``
@@ -35,15 +39,15 @@ import time
 #: The four paper-named phase buckets, in pipeline order.
 PHASES = ("fetch", "decode", "execute", "monitor")
 
-#: Simulator kind -> (phase -> instance method to shadow).
-_TARGETS = {
-    "funcsim": {"fetch": "_fetch", "decode": "_decode", "execute": "_execute"},
-    "pipeline": {
-        "fetch": "_fetch_latch",
-        "decode": "_decode",
-        "execute": "_execute_stage",
-    },
+#: PipelineCPU: phase -> instance method to shadow.
+_PIPELINE_TARGETS = {
+    "fetch": "_fetch_latch",
+    "decode": "_decode",
+    "execute": "_execute_stage",
 }
+
+#: FuncSim: the one binder that yields all three phase callables.
+_FUNCSIM_TARGET = "_bind_phases"
 
 
 class _MonitorProxy:
@@ -101,12 +105,43 @@ class PhaseProfiler:
 
         return timed
 
+    def _timed_binder(self, bind):
+        """FuncSim's ``_bind_phases`` with every phase callable timed."""
+
+        def bind_timed():
+            read_word, lookup, translate = bind()
+            timed_lookup = self._wrap("decode", lookup)
+            timed_translate = self._wrap("decode", translate)
+            twins: dict = {}  # record -> its twin with a timed handler
+
+            def timed_record(record):
+                twin = twins.get(record)
+                if twin is None:
+                    handler = record.handler
+                    twin = twins[record] = (
+                        record
+                        if handler is None
+                        else record._replace(handler=self._wrap("execute", handler))
+                    )
+                return twin
+
+            def lookup_record(word):
+                record = timed_lookup(word)
+                return None if record is None else timed_record(record)
+
+            def translate_record(word, address):
+                return timed_record(timed_translate(word, address))
+
+            return self._wrap("fetch", read_word), lookup_record, translate_record
+
+        return bind_timed
+
     @staticmethod
     def kind_of(sim) -> str:
         """Which shadow map fits *sim* (``"funcsim"``/``"pipeline"``)."""
         if hasattr(sim, "_fetch_latch"):
             return "pipeline"
-        if hasattr(sim, "_fetch"):
+        if hasattr(sim, _FUNCSIM_TARGET):
             return "funcsim"
         raise TypeError(
             f"cannot profile {type(sim).__name__}: "
@@ -118,8 +153,11 @@ class PhaseProfiler:
         if self._sim is not None:
             raise RuntimeError("profiler already attached")
         kind = self.kind_of(sim)
-        for phase, name in _TARGETS[kind].items():
-            setattr(sim, name, self._wrap(phase, getattr(sim, name)))
+        if kind == "funcsim":
+            sim._bind_phases = self._timed_binder(sim._bind_phases)
+        else:
+            for phase, name in _PIPELINE_TARGETS.items():
+                setattr(sim, name, self._wrap(phase, getattr(sim, name)))
         self._had_monitor = getattr(sim, "monitor", None) is not None
         if self._had_monitor:
             sim.monitor = _MonitorProxy(sim.monitor, self)
@@ -132,7 +170,11 @@ class PhaseProfiler:
         sim, self._sim = self._sim, None
         if sim is None:
             return
-        for name in _TARGETS[self._kind].values():
+        if self._kind == "funcsim":
+            names = (_FUNCSIM_TARGET,)
+        else:
+            names = _PIPELINE_TARGETS.values()
+        for name in names:
             # Deleting the instance attribute un-shadows the class method.
             try:
                 delattr(sim, name)

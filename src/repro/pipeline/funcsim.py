@@ -24,14 +24,32 @@ push the instruction's own issue and everything behind it.
 A monitor object (usually :class:`repro.cic.checker.CodeIntegrityChecker`)
 may be attached; it observes fetched words and block ends *at the ID stage,
 before the instruction executes*, exactly like the pipeline.
+
+The interpreter is predecoded.  Everything that depends only on the
+fetched 32-bit word is worked out once, on the word's first fetch, into an
+:class:`OpRecord`: a specialised execute handler (bound to the
+:mod:`~repro.pipeline.semantics` tables and the word's register fields),
+the scoreboard read mode and source registers, the destination, and the
+timing and control-flow flags.  ``run()`` then does one dict lookup per
+step, calls the handler, and updates the scoreboard on local integers.
+Records are cached by the *fetched* word — after the fetch hook — so a
+fault-corrupted word gets its own record, and an undecodable word raises
+:class:`~repro.errors.DecodingError` on every fetch without ever being
+cached.  The record cache lives beside the word→:class:`Instruction`
+decode cache (see :class:`DecodeCache`), one per decode cache, so campaign
+workers share it across every injection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Callable, NamedTuple, Protocol
 
-from repro.errors import MemoryAccessError, SimulationError
+from repro.errors import (
+    InstructionBudgetExceeded,
+    MemoryAccessError,
+    SimulationError,
+)
 from repro.asm.program import Program
 from repro.pipeline import semantics
 from repro.pipeline.hazards import CycleModel
@@ -49,9 +67,19 @@ from repro.pipeline.trace import BlockTrace
 from repro.isa.encoding import decode
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Mnemonic
-from repro.isa.properties import BRANCHES, INDIRECT_JUMPS, is_control_flow
+from repro.isa.properties import (
+    BRANCHES,
+    CONTROL_FLOW,
+    DIRECT_JUMPS,
+    INDIRECT_JUMPS,
+)
+from repro.utils.bitops import MASK32
 
 FetchHook = Callable[[int, int], int]
+
+#: ``handler(regs, state, pc)`` applies one instruction's architected
+#: effect and returns the redirect target, or ``None`` to fall through.
+Handler = Callable[[list, ArchState, int], "int | None"]
 
 
 class Monitor(Protocol):
@@ -79,9 +107,272 @@ class RunResult:
     finished: bool = True
 
 
+# ---------------------------------------------------------------------------
+# Op records: everything the loop needs, derived once per fetched word
+# ---------------------------------------------------------------------------
+
+#: Scoreboard read modes.  EX-stage readers wait on the load-use interlock
+#: (a store lists only its base register: its data register is read in
+#: MEM, where every earlier write-back has landed); ID-stage readers
+#: (branches, indirect jumps) wait for the bypass to reach ID; mfhi/mflo
+#: wait for HI/LO to commit.
+READS_EX = 0
+READS_ID = 1
+READS_HILO = 2
+
+#: Execution-unit latency classes (the cycle model supplies the values).
+UNIT_ALU = 0
+UNIT_MULT = 1
+UNIT_DIV = 2
+
+
+class OpRecord(NamedTuple):
+    """The predecoded form of one instruction word."""
+
+    #: Architected effect; ``None`` for ``syscall``, which the loop runs
+    #: against the simulator's own :class:`SyscallHandler`.
+    handler: Handler | None
+    #: One of :data:`READS_EX`, :data:`READS_ID`, :data:`READS_HILO`.
+    read_mode: int
+    #: Registers the read mode checks (``$0`` never stalls, so omitted).
+    sources: tuple[int, ...]
+    #: Register written, or ``-1`` for none (or ``$0``).
+    dest: int
+    is_load: bool
+    #: One of :data:`UNIT_ALU`, :data:`UNIT_MULT`, :data:`UNIT_DIV`.
+    unit: int
+    #: Ends a basic block (branch, jump, syscall, break).
+    control_flow: bool
+    #: Store or syscall: clears the armed hang detector's state table.
+    side_effect: bool
+
+
+class DecodeCache(dict):
+    """Word→:class:`Instruction` decode cache with its op records beside it.
+
+    The mapping itself holds only :class:`Instruction` values, so
+    :class:`~repro.pipeline.cpu.PipelineCPU` can share it; :attr:`ops` maps
+    the same words to their :class:`OpRecord`.  Pickling keeps only the
+    instructions (records hold closures); a receiving process rebuilds
+    records on first fetch.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.ops: dict[int, OpRecord] = {}
+
+    def __reduce__(self):
+        return (DecodeCache, (dict(self),))
+
+
+def _nop(regs, state, pc):
+    return None
+
+
+def _alu_handler(instruction: Instruction, form: str, fn) -> Handler:
+    dest = instruction.destination_register()
+    if dest is None:
+        return _nop
+    s, t = instruction.rs, instruction.rt
+    if form is semantics.REG_REG:
+
+        def handler(regs, state, pc):
+            regs[dest] = fn(regs[s], regs[t])
+
+    elif form is semantics.REG_IMM:
+        imm = instruction.imm
+
+        def handler(regs, state, pc):
+            regs[dest] = fn(regs[s], imm)
+
+    elif form is semantics.SHIFT_IMM:
+        shamt = instruction.shamt
+
+        def handler(regs, state, pc):
+            regs[dest] = fn(regs[t], shamt)
+
+    else:
+
+        def handler(regs, state, pc):
+            regs[dest] = fn(regs[t], regs[s])
+
+    return handler
+
+
+def _load_handler(instruction: Instruction) -> Handler:
+    # A load into $0 still performs its (possibly faulting) read.
+    load = semantics.LOADS[instruction.mnemonic]
+    address = semantics.effective_address
+    s, dest, imm = instruction.rs, instruction.rt, instruction.imm
+
+    def handler(regs, state, pc):
+        value = load(state.memory, address(regs[s], imm))
+        if dest:
+            regs[dest] = value
+
+    return handler
+
+
+def _store_handler(instruction: Instruction) -> Handler:
+    store = semantics.STORES[instruction.mnemonic]
+    address = semantics.effective_address
+    s, t, imm = instruction.rs, instruction.rt, instruction.imm
+
+    def handler(regs, state, pc):
+        store(state.memory, address(regs[s], imm), regs[t])
+
+    return handler
+
+
+def _control_handler(instruction: Instruction) -> Handler:
+    m = instruction.mnemonic
+    s, t = instruction.rs, instruction.rt
+    link = semantics.link_value
+    if m in BRANCHES:
+        taken = semantics.BRANCH_CONDITIONS[m]
+        branch = semantics.branch_target
+        imm = instruction.imm
+
+        def handler(regs, state, pc):
+            if taken(regs[s], regs[t]):
+                return branch(pc, imm)
+
+    elif m in DIRECT_JUMPS:
+        jump = semantics.jump_target
+        target = instruction.target
+        if m is Mnemonic.JAL:
+
+            def handler(regs, state, pc):
+                regs[31] = link(pc)
+                return jump(pc, target)
+
+        else:
+
+            def handler(regs, state, pc):
+                return jump(pc, target)
+
+    elif m is Mnemonic.JALR and instruction.rd:
+        rd = instruction.rd
+
+        def handler(regs, state, pc):
+            target = regs[s]
+            regs[rd] = link(pc)
+            return target
+
+    else:  # jr, or jalr linking into $0
+
+        def handler(regs, state, pc):
+            return regs[s]
+
+    return handler
+
+
+def _handler(instruction: Instruction) -> Handler | None:
+    """The specialised execute handler of one decoded instruction."""
+    m = instruction.mnemonic
+    alu = semantics.ALU_OPS.get(m)
+    if alu is not None:
+        return _alu_handler(instruction, *alu)
+    if instruction.is_load():
+        return _load_handler(instruction)
+    if instruction.is_store():
+        return _store_handler(instruction)
+    if m in BRANCHES or m in DIRECT_JUMPS or m in INDIRECT_JUMPS:
+        return _control_handler(instruction)
+    s, t = instruction.rs, instruction.rt
+    muldiv = semantics.MULDIV_OPS.get(m)
+    if muldiv is not None:
+
+        def handler(regs, state, pc):
+            state.hi, state.lo = muldiv(regs[s], regs[t])
+
+        return handler
+    dest = instruction.destination_register()
+    if m is Mnemonic.MFHI or m is Mnemonic.MFLO:
+        if dest is None:
+            return _nop
+        if m is Mnemonic.MFHI:
+
+            def handler(regs, state, pc):
+                regs[dest] = state.hi
+
+        else:
+
+            def handler(regs, state, pc):
+                regs[dest] = state.lo
+
+        return handler
+    if m is Mnemonic.MTHI:
+
+        def handler(regs, state, pc):
+            state.hi = regs[s]
+
+        return handler
+    if m is Mnemonic.MTLO:
+
+        def handler(regs, state, pc):
+            state.lo = regs[s]
+
+        return handler
+    if m is Mnemonic.BREAK:
+        message = f"break {instruction.code}"
+
+        def handler(regs, state, pc):
+            raise SimulationError(message, pc=pc)
+
+        return handler
+    if m is Mnemonic.SYSCALL:
+        return None
+    # A decoder/handler mismatch is a simulator bug, not a machine check.
+    raise NotImplementedError(f"no execute handler for {m}")
+
+
+def op_record(instruction: Instruction) -> OpRecord:
+    """Predecode *instruction* into the record ``FuncSim.run`` executes."""
+    m = instruction.mnemonic
+    if m in BRANCHES or m in INDIRECT_JUMPS:
+        read_mode = READS_ID
+        sources = instruction.source_registers()
+    elif m is Mnemonic.MFHI or m is Mnemonic.MFLO:
+        read_mode = READS_HILO
+        sources = ()
+    elif instruction.is_store():
+        read_mode = READS_EX
+        sources = (instruction.rs,)
+    else:
+        read_mode = READS_EX
+        sources = instruction.source_registers()
+    dest = instruction.destination_register()
+    if m is Mnemonic.MULT or m is Mnemonic.MULTU:
+        unit = UNIT_MULT
+    elif m is Mnemonic.DIV or m is Mnemonic.DIVU:
+        unit = UNIT_DIV
+    else:
+        unit = UNIT_ALU
+    return OpRecord(
+        handler=_handler(instruction),
+        read_mode=read_mode,
+        sources=tuple(source for source in sources if source),
+        dest=-1 if dest is None else dest,
+        is_load=instruction.is_load(),
+        unit=unit,
+        control_flow=m in CONTROL_FLOW,
+        side_effect=m is Mnemonic.SYSCALL or instruction.is_store(),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Scoreboard and snapshots
+# ---------------------------------------------------------------------------
+
+
 @dataclass(slots=True)
 class _Scoreboard:
     """Dual-timeline (ID / issue) model of the 5-stage pipeline.
+
+    ``FuncSim.run`` advances these registers on local integers and writes
+    them back here whenever it returns or raises, so snapshots see the
+    same values at every instruction boundary.
 
     Per-register constraint times:
 
@@ -102,64 +393,6 @@ class _Scoreboard:
     fetch_ready: int = 2  # first instruction decodes in cycle 2
     last_id: int = 0
     last_issue: int = 0
-
-    def issue(self, instruction: Instruction, monitor_extra: int = 0) -> int:
-        """Advance the timeline; return the instruction's (pre-penalty) id_t."""
-        model = self.model
-        id_t = self.fetch_ready
-        if self.prev_issue > id_t:
-            id_t = self.prev_issue
-        m = instruction.mnemonic
-        if m in BRANCHES or m in INDIRECT_JUMPS:
-            for source in instruction.source_registers():
-                if self.avail_id[source] > id_t:
-                    id_t = self.avail_id[source]
-        elif m is Mnemonic.MFHI or m is Mnemonic.MFLO:
-            if self.hilo_commit > id_t:
-                id_t = self.hilo_commit
-        elif instruction.is_store():
-            # Address register is read at EX; data register only at MEM,
-            # where the register file already reflects every prior WB.
-            if self.load_guard[instruction.rs] > id_t:
-                id_t = self.load_guard[instruction.rs]
-        else:
-            for source in instruction.source_registers():
-                if self.load_guard[source] > id_t:
-                    id_t = self.load_guard[source]
-        id_used = id_t + monitor_extra
-        issue_t = id_used + 1
-        if self.ex_free > issue_t:
-            issue_t = self.ex_free
-        destination = instruction.destination_register()
-        if destination is not None:
-            if instruction.is_load():
-                self.avail_id[destination] = issue_t + 2
-                self.load_guard[destination] = issue_t + 1
-            else:
-                self.avail_id[destination] = issue_t + 1
-                self.load_guard[destination] = 0
-        if m is Mnemonic.MULT or m is Mnemonic.MULTU:
-            self.ex_free = issue_t + 1 + model.mult_latency
-            self.hilo_commit = issue_t + model.mult_latency
-        elif m is Mnemonic.DIV or m is Mnemonic.DIVU:
-            self.ex_free = issue_t + 1 + model.div_latency
-            self.hilo_commit = issue_t + model.div_latency
-        else:
-            self.ex_free = issue_t + 1
-        if m is Mnemonic.SYSCALL:
-            # Traps serialize: the next instruction decodes only after the
-            # trap has written back (depth - 2 cycles after its ID).
-            self.fetch_ready = id_used + model.depth - 2
-        else:
-            self.fetch_ready = id_used + 1
-        self.prev_issue = issue_t
-        self.last_id = id_used
-        self.last_issue = issue_t
-        return id_t
-
-    def redirect(self) -> None:
-        """A taken control transfer squashes the in-flight fetch slot."""
-        self.fetch_ready = self.last_id + 1 + self.model.redirect_penalty
 
     def total_cycles(self) -> int:
         """Cycles until the last issued instruction completes WB."""
@@ -231,9 +464,9 @@ class FuncSim:
     collect_trace:
         Record the dynamic basic-block trace for trace-driven replay.
     decode_cache:
-        Optional shared word→instruction decode cache.  Decoding depends
-        only on the word, so campaign workers pass one dict across every
-        injection instead of re-decoding the program per run.
+        Optional shared :class:`DecodeCache`.  Decoding and op records
+        depend only on the word, so campaign workers pass one cache across
+        every injection instead of re-decoding the program per run.
     hang_detector:
         ``None`` (default) disables it; an integer arms a PC-set cycling
         detector once that many instructions have executed.  When an armed
@@ -256,7 +489,7 @@ class FuncSim:
         collect_trace: bool = False,
         inputs: list[int] | None = None,
         max_instructions: int = 50_000_000,
-        decode_cache: dict[int, Instruction] | None = None,
+        decode_cache: DecodeCache | None = None,
         hang_detector: int | None = None,
     ):
         self.program = program
@@ -269,9 +502,15 @@ class FuncSim:
         self.syscalls = SyscallHandler()
         if inputs:
             self.syscalls.inputs.extend(inputs)
-        self._decode_cache: dict[int, Instruction] = (
-            decode_cache if decode_cache is not None else {}
-        )
+        if decode_cache is None:
+            decode_cache = DecodeCache()
+        elif not isinstance(decode_cache, DecodeCache):
+            raise TypeError(
+                "decode_cache must be a DecodeCache (it carries the op "
+                f"records), not {type(decode_cache).__name__}"
+            )
+        self._decode_cache = decode_cache
+        self._ops = decode_cache.ops
         self._text_start = program.text_start
         self._text_end = program.text_end
         # Resumable run state: run(until=k) pauses here, snapshot()/
@@ -286,26 +525,24 @@ class FuncSim:
         #: States seen at control transfers since the last side effect.
         self._loop_seen: dict[tuple, int] = {}
 
-    def _fetch(self, address: int) -> int:
-        # Instruction fetch outside the text segment is a bus-error machine
-        # check — the baseline detection that stops run-off execution (e.g.
-        # after a fault removed the program's final control transfer).
-        if not self._text_start <= address < self._text_end:
-            raise MemoryAccessError(
-                f"instruction fetch outside text segment at {address:#010x}",
-                pc=address,
-            )
-        word = self.state.memory.read_word(address)
-        if self.fetch_hook is not None:
-            word = self.fetch_hook(address, word)
-        return word
+    def _translate(self, word: int, address: int) -> OpRecord:
+        """First fetch of *word*: decode it and cache its op record."""
+        instruction = self._decode_cache.get(word)
+        if instruction is None:
+            instruction = decode(word, address)
+            self._decode_cache[word] = instruction
+        record = op_record(instruction)
+        self._ops[word] = record
+        return record
 
-    def _decode(self, word: int, address: int) -> Instruction:
-        cached = self._decode_cache.get(word)
-        if cached is None:
-            cached = decode(word, address)
-            self._decode_cache[word] = cached
-        return cached
+    def _bind_phases(self):
+        """The fetch, op-lookup and translate callables one ``run`` uses.
+
+        ``run()`` binds them once, so the phase profiler
+        (:mod:`repro.obs.profiler`) can shadow this method with timed
+        versions without costing an unprofiled step anything.
+        """
+        return self.state.memory.read_word, self._ops.get, self._translate
 
     def run(self, until: int | None = None) -> RunResult:
         """Execute until the program exits; return the :class:`RunResult`.
@@ -316,67 +553,167 @@ class FuncSim:
         continues exactly where it paused.
         """
         state = self.state
+        regs = state.regs
+        read_word, lookup, translate = self._bind_phases()
+        text_start = self._text_start
+        text_end = self._text_end
+        fetch_hook = self.fetch_hook
         monitor = self.monitor
-        scoreboard = self._scoreboard
+        on_instruction = on_block_end = None
+        if monitor is not None:
+            on_instruction = monitor.on_instruction
+            on_block_end = monitor.on_block_end
         trace = self._trace
+        trace_append = trace.append if trace is not None else None
+        syscalls = self.syscalls
+        model = self.cycle_model
+        mult_latency = model.mult_latency
+        div_latency = model.div_latency
+        trap_refill = model.depth - 2
+        redirect_refill = 1 + model.redirect_penalty
+        hang_at = self.hang_detector
+        budget = self.max_instructions
+        stop = budget if until is None or until > budget else until
+        board = self._scoreboard
+        avail_id = board.avail_id
+        load_guard = board.load_guard
+        hilo_commit = board.hilo_commit
+        ex_free = board.ex_free
+        prev_issue = board.prev_issue
+        fetch_ready = board.fetch_ready
+        last_id = board.last_id
+        last_issue = board.last_issue
         block_start = self._block_start
         executed = self._executed
+        pc = state.pc
         try:
             while not self._finished:
-                if until is not None and executed >= until:
-                    break
-                if executed >= self.max_instructions:
-                    raise SimulationError(
-                        f"instruction limit {self.max_instructions} exceeded",
-                        pc=state.pc,
+                if executed >= stop:
+                    if until is not None and executed >= until:
+                        break
+                    raise InstructionBudgetExceeded(
+                        f"instruction limit {budget} exceeded", pc=pc
                     )
-                pc = state.pc
-                word = self._fetch(pc)
-                instruction = self._decode(word, pc)
+                # Instruction fetch outside the text segment is a bus-error
+                # machine check — the baseline detection that stops run-off
+                # execution (e.g. after a fault removed the program's final
+                # control transfer).
+                if not text_start <= pc < text_end:
+                    raise MemoryAccessError(
+                        f"instruction fetch outside text segment at {pc:#010x}",
+                        pc=pc,
+                    )
+                word = read_word(pc)
+                if fetch_hook is not None:
+                    word = fetch_hook(pc, word)
+                op = lookup(word)
+                if op is None:
+                    op = translate(word, pc)
+                (
+                    handler,
+                    read_mode,
+                    sources,
+                    dest,
+                    is_load,
+                    unit,
+                    control_flow,
+                    side_effect,
+                ) = op
                 executed += 1
                 if block_start is None:
                     block_start = pc
                 # Monitoring happens at the ID stage, before execution — a
                 # mismatch stops the flow-control instruction from executing.
                 extra = 0
-                if monitor is not None:
-                    monitor.on_instruction(pc, word)
-                if is_control_flow(instruction):
-                    if trace is not None:
-                        trace.append(block_start, pc)
+                if on_instruction is not None:
+                    on_instruction(pc, word)
+                if control_flow:
+                    if trace_append is not None:
+                        trace_append(block_start, pc)
                     block_start = None
-                    if monitor is not None:
-                        extra = monitor.on_block_end(pc)
-                scoreboard.issue(instruction, extra)
-                redirected, exited, exit_code = self._execute(instruction, pc)
-                if redirected:
-                    scoreboard.redirect()
-                if exited:
-                    self._finished = True
-                    self._exit_code = exit_code
-                elif (
-                    self.hang_detector is not None
-                    and executed >= self.hang_detector
-                ):
+                    if on_block_end is not None:
+                        extra = on_block_end(pc)
+
+                # Scoreboard: advance the ID and issue timelines.
+                id_t = fetch_ready if fetch_ready > prev_issue else prev_issue
+                if read_mode == READS_EX:
+                    for source in sources:
+                        if load_guard[source] > id_t:
+                            id_t = load_guard[source]
+                elif read_mode == READS_ID:
+                    for source in sources:
+                        if avail_id[source] > id_t:
+                            id_t = avail_id[source]
+                elif hilo_commit > id_t:
+                    id_t = hilo_commit
+                last_id = id_t + extra
+                issue_t = last_id + 1
+                if ex_free > issue_t:
+                    issue_t = ex_free
+                if dest >= 0:
+                    if is_load:
+                        avail_id[dest] = issue_t + 2
+                        load_guard[dest] = issue_t + 1
+                    else:
+                        avail_id[dest] = issue_t + 1
+                        load_guard[dest] = 0
+                if unit == UNIT_ALU:
+                    ex_free = issue_t + 1
+                else:
+                    latency = mult_latency if unit == UNIT_MULT else div_latency
+                    ex_free = issue_t + 1 + latency
+                    hilo_commit = issue_t + latency
+                prev_issue = last_issue = issue_t
+
+                if handler is None:
+                    # Traps serialize: the next instruction decodes only
+                    # after the trap has written back (depth - 2 cycles
+                    # after its ID).
+                    fetch_ready = last_id + trap_refill
+                    outcome = syscalls.execute(state)
+                    state.pc = pc = (pc + 4) & MASK32
+                    if outcome.exited:
+                        self._finished = True
+                        self._exit_code = outcome.exit_code
+                        break
+                    redirected = False
+                else:
+                    fetch_ready = last_id + 1
+                    target = handler(regs, state, pc)
+                    if target is None:
+                        state.pc = pc = (pc + 4) & MASK32
+                        redirected = False
+                    else:
+                        # A taken transfer squashes the in-flight fetch slot.
+                        fetch_ready = last_id + redirect_refill
+                        state.pc = pc = target
+                        redirected = True
+                if hang_at is not None and executed >= hang_at:
                     # Before the arming threshold the state table is
                     # provably empty, so the unarmed fast path is one
                     # integer compare.
-                    self._check_loop(instruction, redirected, executed)
+                    self._check_loop(side_effect, redirected, executed)
         finally:
             self._block_start = block_start
             self._executed = executed
+            board.hilo_commit = hilo_commit
+            board.ex_free = ex_free
+            board.prev_issue = prev_issue
+            board.fetch_ready = fetch_ready
+            board.last_id = last_id
+            board.last_issue = last_issue
         return RunResult(
-            cycles=scoreboard.total_cycles(),
+            cycles=board.total_cycles(),
             instructions=executed,
             exit_code=self._exit_code,
-            console=self.syscalls.console_text,
+            console=syscalls.console_text,
             block_trace=trace,
             monitor_stats=getattr(monitor, "stats", None),
             finished=self._finished,
         )
 
     def _check_loop(
-        self, instruction: Instruction, redirected: bool, executed: int
+        self, side_effect: bool, redirected: bool, executed: int
     ) -> None:
         """Armed hang detection: declare HANG on exact state recurrence.
 
@@ -393,8 +730,7 @@ class FuncSim:
         raising the budget error early classifies identically.
         """
         seen = self._loop_seen
-        mnemonic = instruction.mnemonic
-        if mnemonic is Mnemonic.SYSCALL or instruction.is_store():
+        if side_effect:
             if seen:
                 seen.clear()
             return
@@ -408,7 +744,7 @@ class FuncSim:
         state = self.state
         key = (state.pc, state.hi, state.lo, tuple(state.regs))
         if key in seen:
-            raise SimulationError(
+            raise InstructionBudgetExceeded(
                 f"instruction limit {self.max_instructions} exceeded",
                 pc=state.pc,
             )
@@ -456,72 +792,6 @@ class FuncSim:
                 self._trace.append(start, end)
         self._finished = snapshot.finished
         self._exit_code = snapshot.exit_code
-
-    def _execute(
-        self, instruction: Instruction, pc: int
-    ) -> tuple[bool, bool, int]:
-        """Apply architected semantics; return (redirected, exited, code)."""
-        state = self.state
-        m = instruction.mnemonic
-        next_pc = (pc + 4) & 0xFFFFFFFF
-        redirected = False
-        if m is Mnemonic.SYSCALL:
-            result = self.syscalls.execute(state)
-            if result.exited:
-                state.pc = next_pc
-                return False, True, result.exit_code
-        elif m is Mnemonic.BREAK:
-            raise SimulationError(f"break {instruction.code}", pc=pc)
-        elif m in BRANCHES:
-            rs_value = state.read_reg(instruction.rs)
-            rt_value = state.read_reg(instruction.rt)
-            if semantics.branch_taken(instruction, rs_value, rt_value):
-                next_pc = semantics.control_target(instruction, pc, rs_value)
-                redirected = True
-        elif m is Mnemonic.J:
-            next_pc = semantics.control_target(instruction, pc, 0)
-            redirected = True
-        elif m is Mnemonic.JAL:
-            state.write_reg(31, semantics.link_value(pc))
-            next_pc = semantics.control_target(instruction, pc, 0)
-            redirected = True
-        elif m is Mnemonic.JR:
-            next_pc = state.read_reg(instruction.rs)
-            redirected = True
-        elif m is Mnemonic.JALR:
-            target = state.read_reg(instruction.rs)
-            state.write_reg(instruction.rd, semantics.link_value(pc))
-            next_pc = target
-            redirected = True
-        elif m is Mnemonic.MFHI:
-            state.write_reg(instruction.rd, state.hi)
-        elif m is Mnemonic.MFLO:
-            state.write_reg(instruction.rd, state.lo)
-        elif m is Mnemonic.MTHI:
-            state.hi = state.read_reg(instruction.rs)
-        elif m is Mnemonic.MTLO:
-            state.lo = state.read_reg(instruction.rs)
-        else:
-            rs_value = state.read_reg(instruction.rs)
-            rt_value = state.read_reg(instruction.rt)
-            hilo = semantics.muldiv_result(instruction, rs_value, rt_value)
-            if hilo is not None:
-                state.hi, state.lo = hilo
-            else:
-                result = semantics.alu_result(instruction, rs_value, rt_value)
-                if instruction.is_load():
-                    value = semantics.load_value(instruction, state.memory, result)
-                    state.write_reg(instruction.rt, value)
-                elif instruction.is_store():
-                    semantics.store_value(
-                        instruction, state.memory, result, rt_value
-                    )
-                elif result is not None:
-                    destination = instruction.destination_register()
-                    if destination is not None:
-                        state.write_reg(destination, result)
-        state.pc = next_pc & 0xFFFFFFFF
-        return redirected, False, 0
 
 
 def run_program(

@@ -2,11 +2,28 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from repro.asm.assembler import assemble
 from repro.pipeline.cpu import PipelineCPU
 from repro.pipeline.funcsim import FuncSim
+
+#: ``HYPOTHESIS_PROFILE=ci`` (set on the CI tier-1 step) explores ten times
+#: as many generated cases as a local run: the built-in default of 100
+#: examples becomes 1000, and tests that pin their own budget scale it
+#: through :func:`examples`.
+EXAMPLES_FACTOR = 10
+settings.register_profile("ci", max_examples=100 * EXAMPLES_FACTOR)
+_PROFILE = os.environ.get("HYPOTHESIS_PROFILE", "default")
+settings.load_profile(_PROFILE)
+
+
+def examples(local: int) -> int:
+    """``max_examples`` for a test whose local budget is *local*."""
+    return local * EXAMPLES_FACTOR if _PROFILE == "ci" else local
 
 
 EXIT_SNIPPET = """

@@ -10,8 +10,10 @@ the §6.3 escape the paper analyses.
 import pytest
 
 from repro.asm.assembler import assemble
-from repro.errors import DecodingError
+from repro.errors import DecodingError, InstructionBudgetExceeded, SimulationError
+from repro.exec.pipeline_golden import classify_pipeline_run
 from repro.faults import BitFlipFault, Outcome, build_context, run_one
+from repro.faults.campaign import classify_run, make_probe
 from repro.isa.encoding import decode
 
 
@@ -98,6 +100,54 @@ loop:   addi $t0, $t0, 1
         result = run_one(context, pair)
         assert result.outcome is Outcome.HANG
         assert "instruction limit" in result.detail
+
+
+class _Raising:
+    """A simulator stand-in whose ``run`` raises *error*."""
+
+    cycles = 0
+
+    def __init__(self, error):
+        self.error = error
+
+    def run(self, until=None):
+        raise self.error
+
+
+class TestClassifiedByType:
+    """HANG means a budget exception, whatever another error's text says."""
+
+    @pytest.fixture(scope="class")
+    def context(self):
+        return context_for("""
+main:   li $v0, 10
+        syscall
+        """)
+
+    @staticmethod
+    def classify(context, error, pipeline):
+        fault = BitFlipFault(context.program.symbols["main"], (0,))
+        classify = classify_pipeline_run if pipeline else classify_run
+        return classify(context, fault, _Raising(error), make_probe((), ()))
+
+    @pytest.mark.parametrize("pipeline", [False, True])
+    def test_budget_exception_is_hang(self, context, pipeline):
+        error = InstructionBudgetExceeded("instruction limit 9 exceeded")
+        result = self.classify(context, error, pipeline)
+        assert result.outcome is Outcome.HANG
+        # Canonical detail: the context's budget, not the raiser's text.
+        assert result.detail == (
+            f"instruction limit {context.instruction_budget} exceeded"
+        )
+
+    @pytest.mark.parametrize("pipeline", [False, True])
+    @pytest.mark.parametrize(
+        "text", ["instruction limit 9 exceeded", "cycle limit 9 exceeded"]
+    )
+    def test_lookalike_simulation_error_is_crash(self, context, pipeline, text):
+        result = self.classify(context, SimulationError(text), pipeline)
+        assert result.outcome is Outcome.CRASHED
+        assert text in result.detail
 
 
 class TestSilentCorruption:

@@ -9,7 +9,8 @@ them safe to enable by default:
 * 1, 2, and 4 workers produce identical sorted JSONL records;
 * batch-of-1, batch-of-5, and whole-shard batches produce identical
   sorted JSONL records (campaign *and* DSE jobs, all three backends);
-* a reused warm pool produces the same records as a cold one;
+* a reused warm pool produces the same records as a cold one — its
+  second run groups shards per task by the work measured in the first;
 * a campaign killed mid-run resumes correctly under a *different*
   batch plan — the ``shard-done`` commit protocol is batch-safe.
 
@@ -21,7 +22,13 @@ import json
 import pytest
 
 from repro.exec import CampaignRunner, CampaignSpec
-from repro.exec.pool import pool_stats, shutdown_pools
+from repro.exec import pool as pool_module
+from repro.exec.pool import (
+    DISPATCH_TARGET_S,
+    dispatch_chunksize,
+    pool_stats,
+    shutdown_pools,
+)
 
 #: Small but branchy: exercises detection, hang, and SDC paths while
 #: keeping the pipeline-golden cells fast enough for CI.
@@ -124,6 +131,32 @@ class TestPoolReuse:
         runner.run(faults, seed=SEED, out=second)
         assert 2 in pool_stats().values()
         assert jsonl_records(first) == jsonl_records(second) == reference
+
+    def test_grouped_dispatch_records_identical(self, rig, tmp_path):
+        """With one fault per shard, a warm pool's second run sends its
+        24 shards grouped per task; the records are byte-identical to
+        the first, one-shard-per-task run."""
+        spec, faults, _reference = rig
+        shutdown_pools()
+        runner = CampaignRunner(spec, workers=2, chunk_size=1)
+        first = tmp_path / "one-per-task.jsonl"
+        second = tmp_path / "grouped.jsonl"
+        runner.run(faults, seed=SEED, out=first)
+        (pool,) = pool_module._POOLS.values()
+        assert dispatch_chunksize(pool.shard_seconds, FAULT_COUNT, 2) > 1
+        runner.run(faults, seed=SEED, out=second)
+        assert jsonl_records(first) == jsonl_records(second)
+
+    def test_dispatch_grouping_follows_measured_work(self):
+        """Unmeasured pools dispatch one shard per task; measured shards
+        go about four tasks per worker, each capped at the work target;
+        heavy shards stay one per task."""
+        assert dispatch_chunksize(None, 60, 2) == 1
+        light = DISPATCH_TARGET_S / 100
+        assert dispatch_chunksize(light, 60, 2) == 8
+        assert dispatch_chunksize(light, 6, 2) == 1
+        assert dispatch_chunksize(DISPATCH_TARGET_S / 3, 60, 2) == 3
+        assert dispatch_chunksize(DISPATCH_TARGET_S * 3, 60, 2) == 1
 
     def test_transient_pools_still_supported(self, rig, tmp_path):
         """``persistent=False`` keeps the old build-per-run pool path —

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.asm.assembler import assemble
 
-from tests.conftest import run_both
+from tests.conftest import examples, run_both
 
 
 @st.composite
@@ -70,7 +70,7 @@ def hazard_programs(draw):
     return "\n".join(lines)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(source=hazard_programs())
 def test_random_hazard_programs_equivalent(source):
     program = assemble(source)
@@ -80,7 +80,7 @@ def test_random_hazard_programs_equivalent(source):
     ]
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=examples(15), deadline=None)
 @given(source=hazard_programs())
 def test_random_programs_monitored_equivalence(source):
     """Same corpus, with the integrity monitor attached to both engines."""

@@ -1,10 +1,15 @@
 """Functional simulator tests: architected behaviour of whole programs."""
 
+import pickle
+
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import DecodingError, InstructionBudgetExceeded, SimulationError
 from repro.asm.assembler import assemble
-from repro.pipeline.funcsim import FuncSim
+from repro.isa.encoding import decode
+from repro.isa.instruction import Instruction
+from repro.pipeline.cpu import PipelineCPU
+from repro.pipeline.funcsim import DecodeCache, FuncSim, OpRecord
 
 from tests.conftest import assemble_with_exit
 
@@ -232,3 +237,119 @@ class TestLimitsAndHooks:
         for event in result.block_trace:
             word = sim.state.memory.read_word(event.end)
             assert is_control_flow(decode(word))
+
+
+#: Counts down from 3 and prints the running sum: 6 plus the exit path.
+_COUNTDOWN = """
+        li $t0, 3
+        li $s0, 0
+    loop:
+        addu $s0, $s0, $t0
+        addiu $t0, $t0, -1
+        bgtz $t0, loop
+        move $a0, $s0
+        li $v0, 1
+        syscall
+"""
+
+
+def _corrupt(address, replacement):
+    """Fetch hook replacing the word fetched at *address*."""
+
+    def hook(fetched_at, word):
+        return replacement if fetched_at == address else word
+
+    return hook
+
+
+class TestOpCache:
+    def test_invalid_fetched_word_raises_and_is_never_cached(self):
+        program = assemble_with_exit(_COUNTDOWN)
+        target = program.entry + 8  # the addu inside the loop
+        bad = 0xFC000000  # opcode 63: no such instruction
+        with pytest.raises(DecodingError) as expected:
+            decode(bad, target)
+        cache = DecodeCache()
+        for _ in range(2):  # and again on the now-warm cache
+            sim = FuncSim(
+                program, fetch_hook=_corrupt(target, bad), decode_cache=cache
+            )
+            with pytest.raises(DecodingError) as raised:
+                sim.run()
+            assert str(raised.value) == str(expected.value)
+            assert raised.value.address == target
+            assert sim._executed == 2  # the two li before the bad fetch
+            assert bad not in cache
+            assert bad not in cache.ops
+
+    def test_corrupted_valid_word_gets_its_own_record(self):
+        program = assemble_with_exit(_COUNTDOWN)
+        target = program.entry + 12  # addiu $t0, $t0, -1
+        pristine = program.text.word_at(target)
+        # Same instruction with immediate -3: the loop runs once.
+        corrupted = (pristine & 0xFFFF0000) | 0xFFFD
+        cache = DecodeCache()
+        clean = FuncSim(program, decode_cache=cache).run()
+        faulty = FuncSim(
+            program, fetch_hook=_corrupt(target, corrupted), decode_cache=cache
+        ).run()
+        assert clean.console == "6"
+        assert faulty.console == "3"
+        assert isinstance(cache.ops[corrupted], OpRecord)
+        assert cache.ops[corrupted] is not cache.ops[pristine]
+        assert cache[corrupted].imm == -3
+
+    def test_until_beyond_budget_raises_at_the_budget(self):
+        sim = FuncSim(assemble("spin: j spin"), max_instructions=100)
+        with pytest.raises(InstructionBudgetExceeded, match="instruction limit 100"):
+            sim.run(until=500)
+        assert sim._executed == 100
+
+    def test_until_within_budget_pauses(self):
+        sim = FuncSim(assemble("spin: j spin"), max_instructions=100)
+        result = sim.run(until=40)
+        assert not result.finished
+        assert result.instructions == 40
+
+    def test_pause_resume_equals_one_shot_on_a_shared_cache(self):
+        program = assemble_with_exit(_COUNTDOWN)
+        cache = DecodeCache()
+        one_shot = FuncSim(program, collect_trace=True, decode_cache=cache)
+        expected = one_shot.run()
+        paused = FuncSim(program, collect_trace=True, decode_cache=cache)
+        for mark in range(0, expected.instructions + 2, 3):
+            paused.run(until=mark)
+        resumed = paused.run()
+        assert (resumed.cycles, resumed.instructions, resumed.console) == (
+            expected.cycles,
+            expected.instructions,
+            expected.console,
+        )
+        assert [e.key for e in resumed.block_trace] == [
+            e.key for e in expected.block_trace
+        ]
+        assert paused.snapshot() == one_shot.snapshot()
+
+    def test_shared_cache_keeps_instruction_values_for_the_pipeline(self):
+        program = assemble_with_exit(_COUNTDOWN)
+        cache = DecodeCache()
+        func = FuncSim(program, decode_cache=cache).run()
+        assert cache.ops
+        assert all(isinstance(value, Instruction) for value in cache.values())
+        pipe = PipelineCPU(program, decode_cache=cache).run()
+        assert (pipe.cycles, pipe.console) == (func.cycles, func.console)
+
+    def test_pickle_keeps_instructions_and_drops_records(self):
+        program = assemble_with_exit(_COUNTDOWN)
+        cache = DecodeCache()
+        FuncSim(program, decode_cache=cache).run()
+        copy = pickle.loads(pickle.dumps(cache))
+        assert isinstance(copy, DecodeCache)
+        assert dict(copy) == dict(cache)
+        assert copy.ops == {}
+        assert FuncSim(program, decode_cache=copy).run().console == "6"
+
+    def test_plain_dict_cache_rejected(self):
+        # A plain dict has nowhere to keep the records beside it.
+        with pytest.raises(TypeError, match="DecodeCache"):
+            FuncSim(assemble_with_exit(_COUNTDOWN), decode_cache={})

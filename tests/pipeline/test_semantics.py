@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.pipeline import semantics
+from repro.pipeline.memory import Memory
 from repro.isa.encoding import decode, encode_fields
 from repro.isa.opcodes import Mnemonic
 from repro.utils.bitops import MASK32, to_signed32
@@ -67,6 +68,19 @@ class TestAlu:
     def test_non_alu_returns_none(self):
         assert semantics.alu_result(_make(Mnemonic.SYSCALL), 0, 0) is None
 
+    @pytest.mark.parametrize("mnemonic", sorted(semantics.ALU_OPS, key=str))
+    @given(a=words, b=words)
+    def test_table_results_stay_32_bit(self, mnemonic, a, b):
+        """FuncSim stores table results without re-masking."""
+        form, fn = semantics.ALU_OPS[mnemonic]
+        if form is semantics.SHIFT_IMM:
+            b &= 31
+        elif form is semantics.REG_IMM:
+            b = to_signed32(b) >> 16  # a decoded 16-bit immediate
+            if mnemonic in (Mnemonic.ANDI, Mnemonic.ORI, Mnemonic.XORI, Mnemonic.LUI):
+                b &= 0xFFFF
+        assert 0 <= fn(a, b) <= MASK32
+
 
 class TestMulDiv:
     @given(a=words, b=words)
@@ -101,7 +115,11 @@ class TestMulDiv:
         hi, lo = semantics.muldiv_result(_make(Mnemonic.DIV), a, b)
         quotient, remainder = to_signed32(lo), to_signed32(hi)
         sa, sb = to_signed32(a), to_signed32(b)
-        assert quotient * sb + remainder == sa
+        if sa == -(1 << 31) and sb == -1:
+            # The one overflowing quotient (2**31) wraps to INT_MIN.
+            assert (lo, hi) == (0x80000000, 0)
+        else:
+            assert quotient * sb + remainder == sa
 
 
 class TestBranches:
@@ -137,3 +155,43 @@ class TestControlTargets:
 
     def test_link_value(self):
         assert semantics.link_value(0x400000) == 0x400004
+
+    def test_jump_target_keeps_region(self):
+        instruction = _make(Mnemonic.J, target=0x0100004)
+        assert semantics.control_target(instruction, 0x10400000, 0) == 0x10400010
+
+
+class TestMemoryAccess:
+    """``LOADS``/``STORES`` are the one definition of access width,
+    sign-extension and masking that both simulators bind."""
+
+    BASE = 0x10010000
+
+    def _load(self, mnemonic, memory, address):
+        return semantics.load_value(_make(mnemonic), memory, address)
+
+    def _store(self, mnemonic, memory, address, value):
+        semantics.store_value(_make(mnemonic), memory, address, value)
+
+    def test_byte_loads_sign_and_zero_extend(self):
+        memory = Memory()
+        self._store(Mnemonic.SB, memory, self.BASE, 0x1280)
+        assert self._load(Mnemonic.LB, memory, self.BASE) == 0xFFFFFF80
+        assert self._load(Mnemonic.LBU, memory, self.BASE) == 0x80
+
+    def test_half_loads_sign_and_zero_extend(self):
+        memory = Memory()
+        self._store(Mnemonic.SH, memory, self.BASE, 0x12348001)
+        assert self._load(Mnemonic.LH, memory, self.BASE) == 0xFFFF8001
+        assert self._load(Mnemonic.LHU, memory, self.BASE) == 0x8001
+
+    def test_word_round_trip(self):
+        memory = Memory()
+        self._store(Mnemonic.SW, memory, self.BASE, 0xDEADBEEF)
+        assert self._load(Mnemonic.LW, memory, self.BASE) == 0xDEADBEEF
+
+    def test_tables_cover_every_load_and_store(self):
+        assert set(semantics.LOADS) == {
+            Mnemonic.LB, Mnemonic.LBU, Mnemonic.LH, Mnemonic.LHU, Mnemonic.LW
+        }
+        assert set(semantics.STORES) == {Mnemonic.SB, Mnemonic.SH, Mnemonic.SW}

@@ -20,6 +20,8 @@ from repro.pipeline.cpu import PipelineCPU
 from repro.pipeline.funcsim import FuncSim
 from repro.workloads.suite import build, workload_inputs
 
+from tests.conftest import examples
+
 PROGRAM_SOURCE = """
         .data
 arr:    .word 9, 4, 7, 1, 8
@@ -91,26 +93,26 @@ def roundtrip(engine, k: int, monitored: bool = False):
     assert result_key(resumed) == result_key(reference)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=examples(20), deadline=None)
 @given(k=st.integers(min_value=0, max_value=120))
 def test_funcsim_roundtrip_unmonitored(k):
     roundtrip(FuncSim, k)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=examples(20), deadline=None)
 @given(k=st.integers(min_value=0, max_value=120))
 def test_funcsim_roundtrip_monitored(k):
     """Mid-block pauses included: STA/RHASH travel with the snapshot."""
     roundtrip(FuncSim, k, monitored=True)
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=examples(15), deadline=None)
 @given(k=st.integers(min_value=0, max_value=120))
 def test_pipeline_roundtrip_unmonitored(k):
     roundtrip(PipelineCPU, k)
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=examples(15), deadline=None)
 @given(k=st.integers(min_value=0, max_value=120))
 def test_pipeline_roundtrip_monitored(k):
     roundtrip(PipelineCPU, k, monitored=True)

@@ -25,6 +25,12 @@ class TestHierarchy:
     def test_memory_error_is_simulation_error(self):
         assert issubclass(errors.MemoryAccessError, errors.SimulationError)
 
+    def test_budget_error_is_simulation_error(self):
+        assert issubclass(errors.InstructionBudgetExceeded, errors.SimulationError)
+        assert not issubclass(
+            errors.InstructionBudgetExceeded, errors.MemoryAccessError
+        )
+
 
 class TestMessages:
     def test_decoding_error_fields(self):
