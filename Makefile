@@ -6,7 +6,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test bench bench-smoke perf-smoke campaign-smoke attack-smoke \
 	dse-smoke harness-smoke scaling-smoke obs-smoke coverage-smoke \
-	trace-smoke service-smoke bench-gate clean
+	trace-smoke service-smoke experiments-smoke bench-gate clean
 
 # Regression threshold (percent) for `make bench-gate`.
 BENCH_GATE ?= 25
@@ -41,6 +41,18 @@ attack-smoke:  ## tiny 2-worker attack sweep through the CLI, with resume
 	$(PYTHON) -m repro attack sha --scale tiny --class all --per-class 4 \
 	    --workers 2 --seed 42 --out results/attack_smoke.jsonl --resume \
 	    --json results/attack_smoke.json
+
+# experiments-smoke regenerates the whole artifact roster at tiny scale
+# through the CLI and fails unless each of its six tables was written.
+EXPERIMENTS := fig6_miss_rate table1_cycles table2_area fault_analysis_xor \
+	ablation_policies ablation_hashes
+
+experiments-smoke:  ## `repro experiments --scale tiny`: all six artifacts written
+	rm -f $(EXPERIMENTS:%=results/%.txt)
+	$(PYTHON) -m repro experiments --scale tiny
+	for name in $(EXPERIMENTS); do \
+	    test -s results/$$name.txt || { echo "missing results/$$name.txt"; exit 1; }; \
+	done
 
 # scaling-smoke is the CI face of the parallel-scaling work: the full
 # invariance tier (worker count / batch plan / pool reuse / kill-resume

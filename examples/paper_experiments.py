@@ -1,43 +1,21 @@
 #!/usr/bin/env python3
 """Regenerate every table and figure of the paper's evaluation.
 
-Writes the rendered artifacts under ``results/``:
+Writes the rendered artifacts under ``results/`` at the root of the
+checkout; the roster itself (which artifact, which scale, which seeds) is
+:func:`repro.eval.paper_artifacts`, the same one ``repro experiments``
+runs.
 
-=====================  ====================================================
-results file           paper artifact
-=====================  ====================================================
-fig6_miss_rate.txt     Figure 6 — IHT miss rate vs table size
-table1_cycles.txt      Table 1 — cycle overhead of integrity checking
-table2_area.txt        Table 2 — synthesis cycle time and cell area
-fault_analysis_*.txt   Section 6.3 — fault detection coverage
-ablation_policies.txt  Ablation A1 — IHT replacement policies
-ablation_hashes.txt    Ablation A2 — HASHFU algorithms
-=====================  ====================================================
-
-Run:  python examples/paper_experiments.py [--scale small|default]
+Run:  python examples/paper_experiments.py [--scale tiny|small|default]
 """
 
 import argparse
 import pathlib
 import sys
 
-from repro.eval import (
-    run_fault_analysis,
-    run_fig6,
-    run_hash_ablation,
-    run_policy_ablation,
-    run_table1,
-    run_table2,
-)
+from repro.eval import write_paper_artifacts
 
 RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
-
-
-def save(name: str, text: str) -> None:
-    RESULTS.mkdir(exist_ok=True)
-    (RESULTS / f"{name}.txt").write_text(text + "\n")
-    print(text)
-    print(f"[saved to results/{name}.txt]\n")
 
 
 def main(argv=None) -> None:
@@ -47,38 +25,7 @@ def main(argv=None) -> None:
         help="workload input scale (smaller = faster)",
     )
     args = parser.parse_args(argv)
-
-    print(f"=== E1: Figure 6 (scale={args.scale}) ===")
-    save("fig6_miss_rate", run_fig6(scale=args.scale).table().render())
-
-    print(f"=== E2: Table 1 (scale={args.scale}) ===")
-    save("table1_cycles", run_table1(scale=args.scale).table().render())
-
-    print("=== E3: Table 2 ===")
-    save("table2_area", run_table2().table().render())
-
-    print("=== E4: fault analysis (Section 6.3) ===")
-    fault_scale = "small" if args.scale != "tiny" else "tiny"
-    result = run_fault_analysis(
-        workload="dijkstra", scale=fault_scale,
-        single_bit_count=150, multi_bit_count=60,
-    )
-    save("fault_analysis_xor", result.table().render())
-
-    print("=== A1: replacement-policy ablation ===")
-    save(
-        "ablation_policies",
-        run_policy_ablation(scale=args.scale).table().render(),
-    )
-
-    print("=== A2: hash-algorithm ablation ===")
-    save(
-        "ablation_hashes",
-        run_hash_ablation(
-            workload="dijkstra", scale=fault_scale, pair_count=40
-        ).table().render(),
-    )
-
+    write_paper_artifacts(RESULTS, scale=args.scale)
     print("all experiments regenerated under results/")
 
 

@@ -23,8 +23,8 @@ Commands
     (``--scale tiny|small|default``).
 
 ``experiments``
-    Regenerate every paper table/figure into ``results/`` (equivalent to
-    ``examples/paper_experiments.py``).
+    Regenerate every paper table/figure into ``results/`` under the
+    current directory (:func:`repro.eval.write_paper_artifacts`).
 
 ``coverage run|diff|check``
     The exhaustive ground-truth gate (:mod:`repro.coverage`).  ``run``
@@ -1005,26 +1005,9 @@ def cmd_coverage_diff(args: argparse.Namespace) -> int:
 
 
 def cmd_experiments(args: argparse.Namespace) -> int:
-    import importlib.util
-    import pathlib
+    from repro.eval import write_paper_artifacts
 
-    script = (
-        pathlib.Path(__file__).resolve().parent.parent.parent
-        / "examples" / "paper_experiments.py"
-    )
-    if script.exists():
-        spec = importlib.util.spec_from_file_location("paper_experiments", script)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        module.main(["--scale", args.scale])
-        return 0
-    # Installed without the examples tree: drive the harnesses directly.
-    from repro.eval import run_fig6, run_table1, run_table2
-
-    for result in (run_fig6(scale=args.scale), run_table1(scale=args.scale),
-                   run_table2()):
-        print(result.table().render())
-        print()
+    write_paper_artifacts("results", scale=args.scale)
     return 0
 
 

@@ -72,6 +72,15 @@ class InstructionBudgetExceeded(SimulationError):
     """
 
 
+class BreakTrap(SimulationError):
+    """The program executed a ``break`` instruction.
+
+    Raised by both simulators with the historical ``break <code>`` message.
+    Fault campaigns classify it as CRASHED by type: a corrupted word that
+    decodes to ``break`` stops the program the way a software trap would.
+    """
+
+
 class MonitorViolation(ReproError):
     """Raised by the OS model when the CIC reports an unrecoverable mismatch.
 

@@ -3,8 +3,9 @@
 Each module exposes a ``run(...)`` function returning a result object with
 typed rows plus a rendered :class:`~repro.utils.tables.TextTable`, and the
 paper's reported numbers for side-by-side comparison.  The benchmark
-harnesses under ``benchmarks/`` and the ``examples/paper_experiments.py``
-script drive these and write the outputs under ``results/``.
+harnesses under ``benchmarks/`` and the roster (``repro experiments``,
+``examples/paper_experiments.py``) drive these and write the outputs
+under ``results/``.
 
 * :mod:`repro.eval.fig6_miss_rate` — Figure 6: IHT miss rate vs table size.
 * :mod:`repro.eval.table1_cycles` — Table 1: cycle counts and overheads.
@@ -14,6 +15,8 @@ script drive these and write the outputs under ``results/``.
   (rate + latency per attack class × hash × policy).
 * :mod:`repro.eval.ablation_policies` — replacement-policy ablation (A1).
 * :mod:`repro.eval.ablation_hashes` — hash-algorithm ablation (A2).
+* :mod:`repro.eval.roster` — all of the paper's artifacts in order
+  (:func:`paper_artifacts`), behind ``repro experiments``.
 
 The Figure-6 and ablation sweeps are thin presets over the design-space
 explorer (:mod:`repro.dse`), which generalizes them to arbitrary
@@ -27,8 +30,10 @@ from repro.eval.attack_coverage import run_attack_coverage
 from repro.eval.fault_analysis import run_fault_analysis
 from repro.eval.ablation_policies import run_policy_ablation
 from repro.eval.ablation_hashes import run_hash_ablation
+from repro.eval.roster import paper_artifacts, write_paper_artifacts
 
 __all__ = [
+    "paper_artifacts",
     "run_attack_coverage",
     "run_fault_analysis",
     "run_fig6",
@@ -36,4 +41,5 @@ __all__ = [
     "run_policy_ablation",
     "run_table1",
     "run_table2",
+    "write_paper_artifacts",
 ]

@@ -100,11 +100,3 @@ def run_hash_ablation(
             )
         )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run_hash_ablation().table().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

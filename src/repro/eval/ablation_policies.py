@@ -88,11 +88,3 @@ def run_policy_ablation(
         }
         result.rows.append(PolicyRow(workload=name, rates=rates))
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run_policy_ablation().table().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

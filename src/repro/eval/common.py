@@ -1,20 +1,19 @@
 """Shared infrastructure for the evaluation harnesses.
 
 Workload traces and baseline runs are cached per (workload, scale): the
-Figure 6 sweep replays one recorded trace through many IHT configurations
-instead of re-simulating, and Table 1 reuses the same baseline cycles.
+Figure 6 sweep and Table 1 replay one recorded trace through many IHT
+configurations instead of re-simulating, and Table 1 reuses the same
+baseline cycles.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from repro.asm.program import Program
 from repro.cfg.hashgen import build_fht
 from repro.cic.fht import FullHashTable
 from repro.cic.hashes import get_hash
-from repro.osmodel.loader import load_process
-from repro.pipeline.funcsim import FuncSim, RunResult, run_program
+from repro.pipeline.funcsim import RunResult, run_program
 from repro.workloads.suite import build, workload_inputs
 
 
@@ -35,32 +34,3 @@ def baseline_run(name: str, scale: str = "default") -> RunResult:
 @lru_cache(maxsize=None)
 def workload_fht(name: str, scale: str = "default", hash_name: str = "xor") -> FullHashTable:
     return build_fht(build(name, scale), get_hash(hash_name))
-
-
-def workload_program(name: str, scale: str = "default") -> Program:
-    return build(name, scale)
-
-
-@lru_cache(maxsize=None)
-def monitored_run(
-    name: str,
-    iht_size: int,
-    scale: str = "default",
-    hash_name: str = "xor",
-    policy_name: str = "lru_half",
-    miss_penalty: int = 100,
-) -> RunResult:
-    """Monitored run on the functional ISS (cross-checked vs the pipeline
-    by the integration tests)."""
-    program = build(name, scale)
-    process = load_process(
-        program,
-        iht_size=iht_size,
-        hash_name=hash_name,
-        policy_name=policy_name,
-        miss_penalty=miss_penalty,
-    )
-    simulator = FuncSim(
-        program, monitor=process.monitor, inputs=workload_inputs(name, scale)
-    )
-    return simulator.run()

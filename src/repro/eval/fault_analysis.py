@@ -87,14 +87,16 @@ def run_fault_analysis(
     multi_bit_count: int = 60,
     seed: int = 42,
     workers: int = 1,
-    backend: str = "full",
+    backend: str = "golden",
 ) -> FaultAnalysisResult:
     """Run the three fault scenarios against one workload.
 
     With ``workers > 1`` each scenario's injections are sharded across a
     process pool by :class:`~repro.exec.runner.CampaignRunner`; outcomes
-    are identical to the serial run.  ``backend="golden"`` forks each
-    injection from the recorded golden run (identical outcomes, faster).
+    are identical to the serial run.  The default ``golden`` backend forks
+    each injection from the recorded golden run; ``backend="full"``
+    replays every injection from instruction zero (identical outcomes,
+    details and latencies, pinned by the test suite; slower).
     """
     spec = CampaignSpec(
         workload=workload,
@@ -131,11 +133,3 @@ def run_fault_analysis(
         )
     )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run_fault_analysis().table().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -109,11 +109,3 @@ def run_fig6(
             )
         )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run_fig6().table().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

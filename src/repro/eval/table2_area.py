@@ -94,11 +94,3 @@ def run_table2(
             )
         )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run_table2().table().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -37,6 +37,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from repro.errors import (
+    BreakTrap,
     ConfigurationError,
     DecodingError,
     InstructionBudgetExceeded,
@@ -266,7 +267,10 @@ def classify_pipeline_run(
             f"instruction limit {budget} exceeded",
             cycles=cpu.cycles,
         )
+    except BreakTrap as error:
+        return FaultResult(fault, Outcome.CRASHED, str(error), cycles=cpu.cycles)
     except SimulationError as error:
+        # Any other simulator fault, e.g. an unknown syscall number.
         return FaultResult(fault, Outcome.CRASHED, str(error), cycles=cpu.cycles)
     if (
         result.console == context.golden_console

@@ -27,9 +27,10 @@ on the executed instructions/basic blocks can be detected").
 The single-fault kernel is :func:`run_one`: it takes a
 :class:`CampaignContext` (program + monitor configuration + golden
 reference) and one fault, runs a monitored simulation, and classifies the
-outcome.  Both the in-process :class:`FaultCampaign` and the parallel
+outcome.  :meth:`FaultCampaign.run_single` and the parallel
 :class:`repro.exec.runner.CampaignRunner` execute every fault through this
-one function, so serial and pooled campaigns are bit-for-bit comparable.
+one function, so single injections and pooled campaigns are bit-for-bit
+comparable.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.errors import (
+    BreakTrap,
     DecodingError,
     InstructionBudgetExceeded,
     MemoryAccessError,
@@ -330,7 +332,10 @@ def classify_run(
             Outcome.HANG,
             f"instruction limit {context.instruction_budget} exceeded",
         )
+    except BreakTrap as error:
+        return FaultResult(fault, Outcome.CRASHED, str(error))
     except SimulationError as error:
+        # Any other simulator fault, e.g. an unknown syscall number.
         return FaultResult(fault, Outcome.CRASHED, str(error))
     if (
         result.console == context.golden_console
@@ -345,8 +350,8 @@ def run_one(
 ) -> FaultResult:
     """Inject one perturbation (or tuple of them) into a monitored run.
 
-    This is the pure single-injection kernel shared by the legacy serial
-    :class:`FaultCampaign` and the parallel campaign engine in
+    This is the pure single-injection kernel shared by
+    :meth:`FaultCampaign.run_single` and the parallel campaign engine in
     :mod:`repro.exec`: deterministic given ``(context, fault)``, with no
     state carried between calls.  ``fault`` may be any object satisfying
     the :class:`~repro.faults.models.Perturbation` protocol — the random
@@ -397,7 +402,11 @@ def run_one(
 
 
 class FaultCampaign:
-    """Run fault-injection campaigns against one program."""
+    """The golden reference and fault generators for one program.
+
+    Whole campaigns run on :class:`repro.exec.runner.CampaignRunner`;
+    :meth:`run_single` classifies one injection in-process.
+    """
 
     def __init__(
         self,
@@ -533,9 +542,3 @@ class FaultCampaign:
     def run_single(self, fault) -> FaultResult:
         """Inject one fault (or tuple of faults) into a monitored run."""
         return run_one(self.context, fault)
-
-    def run_campaign(self, faults) -> CampaignReport:
-        report = CampaignReport()
-        for fault in faults:
-            report.results.append(self.run_single(fault))
-        return report

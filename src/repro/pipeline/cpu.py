@@ -33,9 +33,9 @@ from dataclasses import dataclass, replace as _copy_latch
 from typing import Callable
 
 from repro.errors import (
+    BreakTrap,
     InstructionBudgetExceeded,
     MemoryAccessError,
-    SimulationError,
 )
 from repro.asm.program import Program
 from repro.pipeline import semantics
@@ -51,7 +51,7 @@ from repro.pipeline.snapshot import (
 )
 from repro.pipeline.state import ArchState
 from repro.pipeline.syscalls import SyscallHandler
-from repro.pipeline.trace import BlockTrace
+from repro.pipeline.trace import BlockTrace, TraceMark, mark_trace, restore_trace
 from repro.isa.encoding import decode
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Mnemonic
@@ -114,7 +114,7 @@ class PipelineSnapshot:
     arch: ArchSnapshot
     syscalls: SyscallSnapshot
     block_start: int | None
-    trace: tuple[tuple[int, int], ...]
+    trace: TraceMark | None
     if_id: _IFID | None
     id_ex: _IDEX | None
     ex_mem: _EXMEM | None
@@ -241,7 +241,7 @@ class PipelineCPU:
                         self._exit_code = result.exit_code
                         break
                 elif m is Mnemonic.BREAK:
-                    raise SimulationError(
+                    raise BreakTrap(
                         f"break {mem_wb.instruction.code}", pc=mem_wb.pc, cycle=cycle
                     )
             self._mem_wb = None
@@ -388,11 +388,7 @@ class PipelineCPU:
             arch=snapshot_arch(self.state),
             syscalls=snapshot_syscalls(self.syscalls),
             block_start=self._block_start,
-            trace=(
-                tuple(event.key for event in self._trace)
-                if self._trace is not None
-                else ()
-            ),
+            trace=mark_trace(self._trace),
             if_id=_latch_copy(self._if_id),
             id_ex=_latch_copy(self._id_ex),
             ex_mem=_latch_copy(self._ex_mem),
@@ -418,10 +414,7 @@ class PipelineCPU:
         self._ex_busy = snapshot.ex_busy
         self._pending_hilo = snapshot.pending_hilo
         self._id_frozen_until = snapshot.id_frozen_until
-        if self._trace is not None:
-            self._trace.events.clear()
-            for start, end in snapshot.trace:
-                self._trace.append(start, end)
+        restore_trace(self._trace, snapshot.trace)
         self._finished = snapshot.finished
         self._exit_code = snapshot.exit_code
 

@@ -46,9 +46,9 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Protocol
 
 from repro.errors import (
+    BreakTrap,
     InstructionBudgetExceeded,
     MemoryAccessError,
-    SimulationError,
 )
 from repro.asm.program import Program
 from repro.pipeline import semantics
@@ -63,7 +63,7 @@ from repro.pipeline.snapshot import (
 )
 from repro.pipeline.state import ArchState
 from repro.pipeline.syscalls import SyscallHandler
-from repro.pipeline.trace import BlockTrace
+from repro.pipeline.trace import BlockTrace, TraceMark, mark_trace, restore_trace
 from repro.isa.encoding import decode
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Mnemonic
@@ -318,7 +318,7 @@ def _handler(instruction: Instruction) -> Handler | None:
         message = f"break {instruction.code}"
 
         def handler(regs, state, pc):
-            raise SimulationError(message, pc=pc)
+            raise BreakTrap(message, pc=pc)
 
         return handler
     if m is Mnemonic.SYSCALL:
@@ -440,7 +440,7 @@ class FuncSimSnapshot:
     syscalls: SyscallSnapshot
     block_start: int | None
     scoreboard: tuple
-    trace: tuple[tuple[int, int], ...]
+    trace: TraceMark | None
     finished: bool = False
     exit_code: int = 0
 
@@ -768,11 +768,7 @@ class FuncSim:
             syscalls=snapshot_syscalls(self.syscalls),
             block_start=self._block_start,
             scoreboard=self._scoreboard.capture(),
-            trace=(
-                tuple(event.key for event in self._trace)
-                if self._trace is not None
-                else ()
-            ),
+            trace=mark_trace(self._trace),
             finished=self._finished,
             exit_code=self._exit_code,
         )
@@ -786,10 +782,7 @@ class FuncSim:
         self._block_start = snapshot.block_start
         self._executed = snapshot.instructions
         self._scoreboard.restore(snapshot.scoreboard)
-        if self._trace is not None:
-            self._trace.events.clear()
-            for start, end in snapshot.trace:
-                self._trace.append(start, end)
+        restore_trace(self._trace, snapshot.trace)
         self._finished = snapshot.finished
         self._exit_code = snapshot.exit_code
 

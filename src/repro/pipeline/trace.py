@@ -61,6 +61,48 @@ class BlockTrace:
         )
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class TraceMark:
+    """A block trace as of a checkpoint, in O(1) space.
+
+    Shares the trace's append-only event list and records its length at
+    the mark, so a store of many checkpoints holds (and pickles) one list
+    rather than one growing copy per checkpoint.  The mark stays valid
+    because nothing truncates or rewrites a shared list:
+    :func:`restore_trace` hands the simulator a fresh list instead.
+    """
+
+    events: list[BlockEvent]
+    length: int
+
+    def keys(self) -> tuple[tuple[int, int], ...]:
+        """The ``(start, end)`` identities of the marked prefix."""
+        return tuple(event.key for event in self.events[: self.length])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TraceMark):
+            return NotImplemented
+        return self.length == other.length and self.keys() == other.keys()
+
+
+def mark_trace(trace: BlockTrace | None) -> TraceMark | None:
+    """Checkpoint *trace* (``None`` when the simulator collects none)."""
+    if trace is None:
+        return None
+    return TraceMark(trace.events, len(trace.events))
+
+
+def restore_trace(trace: BlockTrace | None, mark: TraceMark | None) -> None:
+    """Rewind *trace* to *mark*: the marked prefix, in a fresh list.
+
+    A mark taken without a trace restores an empty one.  Building a new
+    list (never clearing the current one in place) keeps every earlier
+    mark on the current list valid.
+    """
+    if trace is not None:
+        trace.events = mark.events[: mark.length] if mark is not None else []
+
+
 def executed_addresses(trace: BlockTrace) -> tuple[int, ...]:
     """Every instruction address the trace executed, sorted.
 

@@ -110,7 +110,8 @@ class TestEvaluation:
     def test_cycle_overhead_matches_live_monitored_run(self, space, reference):
         """The penalty model *is* the Table-1 accounting: overhead computed
         from replayed misses equals a live monitored simulation's."""
-        from repro.eval.common import baseline_run, monitored_run
+        from repro.eval.common import baseline_run
+        from tests.oracles import monitored_run
 
         for point in reference.ordered():
             config = point.config

@@ -64,8 +64,8 @@ class TestEvalParity:
     def test_hash_ablation_equals_direct_campaign(self):
         """Same pairs, same kernel classification as the pre-DSE loop."""
         from repro.eval.ablation_hashes import run_hash_ablation
-        from repro.faults.campaign import FaultCampaign, same_column_pairs
-        from repro.workloads.suite import build, workload_inputs
+        from repro.exec import CampaignRunner, CampaignSpec
+        from repro.faults.campaign import run_one, same_column_pairs
 
         seed, pair_count, workload = 7, 12, "bitcount"
         result = run_hash_ablation(
@@ -75,13 +75,17 @@ class TestEvalParity:
         golden = baseline_run(workload, "tiny")
         pairs = same_column_pairs(golden.block_trace, pair_count, seed)
         for hash_name in ("xor", "crc32"):
-            campaign = FaultCampaign(
-                build(workload, "tiny"),
-                iht_size=8,
-                hash_name=hash_name,
-                inputs=workload_inputs(workload, "tiny"),
+            runner = CampaignRunner(
+                CampaignSpec(
+                    workload=workload, scale="tiny", iht_size=8,
+                    hash_name=hash_name,
+                )
             )
-            report = campaign.run_campaign(pairs)
+            report = runner.run(pairs).report()
+            oracle = [run_one(runner.campaign.context, pair) for pair in pairs]
+            assert [r.outcome for r in report.results] == [
+                r.outcome for r in oracle
+            ]
             assert result.row(hash_name).adversarial_coverage == (
                 report.detection_rate
             )

@@ -8,6 +8,8 @@ from repro.eval.fault_analysis import run_fault_analysis
 from repro.eval.fig6_miss_rate import run_fig6
 from repro.eval.table1_cycles import run_table1
 from repro.eval.table2_area import PAPER_TABLE2, run_table2
+from repro.workloads.suite import WORKLOAD_NAMES
+from tests.oracles import monitored_run
 
 WORKLOADS = ("bitcount", "stringsearch", "dijkstra")
 
@@ -40,12 +42,15 @@ class TestFig6:
 
 class TestTable1:
     def test_overhead_accounting_exact(self, table1):
-        """monitored = base + penalty * misses, per the paper's model."""
+        """A live monitored run takes base + penalty * misses cycles, per
+        the paper's model, and the replay-built row reports exactly it."""
         for row in table1.rows:
             for size in (8, 16):
-                assert row.monitored_cycles[size] == (
-                    row.base_cycles + 100 * row.misses[size]
+                live = monitored_run(row.workload, size, "small")
+                assert live.cycles == (
+                    row.base_cycles + 100 * live.monitor_stats.misses
                 )
+                assert row.monitored_cycles[size] == live.cycles
 
     def test_overhead_shrinks_with_table_size(self, table1):
         for row in table1.rows:
@@ -66,14 +71,25 @@ class TestTable1:
         assert "paper ovhd8 %" in text
         assert "average" in text
 
-    def test_consistency_with_fig6(self, fig6, table1):
+    def test_consistency_with_fig6(self, fig6):
         """Trace replay and live monitored simulation must agree."""
         for name in WORKLOADS:
-            row = table1.row(name)
             for size in (8, 16):
                 replay_rate = fig6.miss_rate(name, size)
-                live_rate = row.misses[size] / row.lookups[size]
+                stats = monitored_run(name, size, "small").monitor_stats
+                live_rate = stats.misses / stats.lookups
                 assert live_rate == pytest.approx(replay_rate, abs=1e-12)
+
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_rows_equal_monitored_simulation(self, name):
+        """Every workload, both IHT sizes: the replay-built row equals a
+        whole monitored simulation on cycles, lookups and misses."""
+        row = run_table1(scale="tiny", workloads=(name,)).row(name)
+        for size in (8, 16):
+            live = monitored_run(name, size, "tiny")
+            assert row.monitored_cycles[size] == live.cycles
+            assert row.lookups[size] == live.monitor_stats.lookups
+            assert row.misses[size] == live.monitor_stats.misses
 
 
 class TestTable2:
@@ -104,6 +120,31 @@ class TestFaultAnalysis:
         )
         scenario = result.scenario("2-bit, same column, same block")
         assert scenario.coverage < 1.0
+
+    def test_default_golden_backend_equals_full(self):
+        """The roster's §6.3 run forks from the golden store; replaying
+        every injection from instruction zero gives the same records."""
+        kwargs = dict(
+            workload="dijkstra", scale="tiny",
+            single_bit_count=150, multi_bit_count=60,
+        )
+        golden = run_fault_analysis(**kwargs)
+        full = run_fault_analysis(**kwargs, backend="full")
+
+        def records(result):
+            return [
+                (
+                    scenario.label,
+                    [
+                        (r.fault, r.outcome, r.detail, r.latency)
+                        for r in scenario.report.results
+                    ],
+                )
+                for scenario in result.scenarios
+            ]
+
+        assert records(golden) == records(full)
+        assert golden.table().render() == full.table().render()
 
 
 class TestAblations:

@@ -10,6 +10,8 @@ both persistent and transient delivery.
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -332,6 +334,27 @@ class TestGoldenStoreInternals:
             len(ordinals) for ordinals in sha_store.fetch_ordinals.values()
         )
         assert total == sha_store.golden_instructions
+
+    def test_checkpoint_traces_share_one_list(self, sha_store):
+        """Each checkpoint marks the recording's trace instead of copying
+        it, so the store's pickle holds the trace once, whatever the
+        checkpoint count."""
+        store = build_golden_store(
+            sha_store.context, interval=sha_store.golden_instructions // 64
+        )
+        assert len(store.checkpoints) > 60
+        stripped = dataclasses.replace(
+            store,
+            checkpoints=[
+                dataclasses.replace(
+                    checkpoint,
+                    sim=dataclasses.replace(checkpoint.sim, trace=None),
+                )
+                for checkpoint in store.checkpoints
+            ],
+        )
+        marks = len(pickle.dumps(store)) - len(pickle.dumps(stripped))
+        assert marks <= 64 * len(store.checkpoints)
 
     def test_trace_matches_context_executed_set(self, sha_store):
         from repro.pipeline.trace import executed_addresses

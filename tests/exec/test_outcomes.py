@@ -10,11 +10,18 @@ the §6.3 escape the paper analyses.
 import pytest
 
 from repro.asm.assembler import assemble
-from repro.errors import DecodingError, InstructionBudgetExceeded, SimulationError
+from repro.errors import (
+    BreakTrap,
+    DecodingError,
+    InstructionBudgetExceeded,
+    SimulationError,
+)
 from repro.exec.pipeline_golden import classify_pipeline_run
 from repro.faults import BitFlipFault, Outcome, build_context, run_one
 from repro.faults.campaign import classify_run, make_probe
 from repro.isa.encoding import decode
+from repro.pipeline.cpu import PipelineCPU
+from repro.pipeline.funcsim import FuncSim
 
 
 def context_for(source: str):
@@ -148,6 +155,40 @@ main:   li $v0, 10
         result = self.classify(context, SimulationError(text), pipeline)
         assert result.outcome is Outcome.CRASHED
         assert text in result.detail
+
+
+class TestBreakTrap:
+    """``break`` raises its own type on both engines and classifies as a
+    crash through each engine's classifier."""
+
+    SOURCE = """
+main:   li $a0, 2
+        break
+        li $v0, 10
+        syscall
+    """
+
+    @pytest.mark.parametrize("engine", [FuncSim, PipelineCPU])
+    def test_engine_raises_break_trap(self, engine):
+        with pytest.raises(BreakTrap, match=r"^break 0 \(pc=0x00400004"):
+            engine(assemble(self.SOURCE)).run()
+
+    @pytest.mark.parametrize(
+        "engine, classify",
+        [(FuncSim, classify_run), (PipelineCPU, classify_pipeline_run)],
+    )
+    def test_break_is_crash(self, engine, classify):
+        # The context only supplies the golden reference; the simulator
+        # runs the trapping program.
+        context = context_for("""
+main:   li $v0, 10
+        syscall
+        """)
+        fault = BitFlipFault(context.program.symbols["main"], (0,))
+        simulator = engine(assemble(self.SOURCE))
+        result = classify(context, fault, simulator, make_probe((), ()))
+        assert result.outcome is Outcome.CRASHED
+        assert result.detail.startswith("break 0 (pc=0x00400004")
 
 
 class TestSilentCorruption:

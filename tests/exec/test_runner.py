@@ -6,7 +6,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.exec import CampaignRunner, CampaignSpec
-from repro.faults import Outcome
+from repro.faults import Outcome, run_one
+from repro.faults.campaign import CampaignReport
 
 SOURCE = """
 main:   li $t0, 6
@@ -58,8 +59,14 @@ class TestDeterminism:
         assert other.summary() == serial_result.summary()
 
     def test_report_matches_legacy_serial_campaign(self, spec, faults, serial_result):
-        legacy = CampaignRunner(spec).campaign.run_campaign(faults)
+        """The harness agrees with the serial kernel loop, per record."""
+        context = CampaignRunner(spec).campaign.context
+        legacy = CampaignReport([run_one(context, fault) for fault in faults])
         assert serial_result.report().summary() == legacy.summary()
+        assert [
+            (result.outcome, result.detail, result.latency)
+            for result in serial_result.report().results
+        ] == [(result.outcome, result.detail, result.latency) for result in legacy.results]
 
 
 class TestStreaming:

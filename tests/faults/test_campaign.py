@@ -1,9 +1,15 @@
-"""Fault campaign tests: the paper's Section 6.3 claims, made executable."""
+"""Fault campaign tests: the paper's Section 6.3 claims, made executable.
+
+Campaigns run on the execution harness (:class:`CampaignRunner`); every
+report is pinned, record by record, against the serial kernel loop
+``[run_one(context, fault) for fault in faults]``.
+"""
 
 import pytest
 
 from repro.asm.assembler import assemble
-from repro.faults.campaign import DETECTED, FaultCampaign, Outcome
+from repro.exec import CampaignRunner, CampaignSpec
+from repro.faults.campaign import DETECTED, FaultCampaign, Outcome, run_one
 from repro.faults.models import BitFlipFault, TransientFetchFault
 
 SOURCE = """
@@ -21,8 +27,25 @@ loop:   addu $s0, $s0, $t0
 
 
 @pytest.fixture(scope="module")
-def campaign():
-    return FaultCampaign(assemble(SOURCE), iht_size=4)
+def runner():
+    return CampaignRunner(CampaignSpec(source=SOURCE, name="campaign-test", iht_size=4))
+
+
+@pytest.fixture(scope="module")
+def campaign(runner):
+    return runner.campaign
+
+
+def run_campaign(runner, faults):
+    """The harness's report for *faults*, checked against the serial
+    kernel on outcome, detail and latency of every injection."""
+    report = runner.run(faults).report()
+    oracle = [run_one(runner.campaign.context, fault) for fault in faults]
+    assert [
+        (result.outcome, result.detail, result.latency)
+        for result in report.results
+    ] == [(result.outcome, result.detail, result.latency) for result in oracle]
+    return report
 
 
 class TestGolden:
@@ -32,10 +55,10 @@ class TestGolden:
 
 
 class TestSingleBit:
-    def test_exhaustive_single_bit_never_silent(self, campaign):
+    def test_exhaustive_single_bit_never_silent(self, runner, campaign):
         """Paper §6.3: a single bit flip in executed code is always caught —
         by the CIC, or earlier by a baseline machine check."""
-        report = campaign.run_campaign(campaign.exhaustive_single_bit())
+        report = run_campaign(runner, campaign.exhaustive_single_bit())
         counts = report.counts()
         assert counts[Outcome.SDC] == 0
         assert counts[Outcome.BENIGN] == 0
@@ -68,19 +91,19 @@ live:   li $v0, 10
 
 
 class TestMultiBit:
-    def test_same_column_pairs_can_escape_xor(self, campaign):
+    def test_same_column_pairs_can_escape_xor(self, runner, campaign):
         faults = campaign.random_multi_bit(
             30, flips=2, seed=5, same_column=True
         )
-        report = campaign.run_campaign(faults)
+        report = run_campaign(runner, faults)
         # The XOR checksum provably cannot see these inside one block; some
         # pairs span blocks (detected) and some alter semantics (SDC).
         assert report.detection_rate < 1.0
 
-    def test_two_bits_one_word_always_flagged_by_xor(self, campaign):
+    def test_two_bits_one_word_always_flagged_by_xor(self, runner, campaign):
         """Two flips in ONE word always change the XOR (two columns)."""
         faults = campaign.random_multi_bit(30, flips=2, seed=6)
-        report = campaign.run_campaign(faults)
+        report = run_campaign(runner, faults)
         counts = report.counts()
         assert counts[Outcome.SDC] == 0
         assert counts[Outcome.BENIGN] == 0
@@ -93,8 +116,8 @@ class TestTransient:
         result = campaign.run_single(fault)
         assert result.outcome in DETECTED
 
-    def test_summary_readable(self, campaign):
-        report = campaign.run_campaign(campaign.random_single_bit(5, seed=1))
+    def test_summary_readable(self, runner, campaign):
+        report = run_campaign(runner, campaign.random_single_bit(5, seed=1))
         text = report.summary()
         assert "coverage" in text
         assert "5 faults" in text

@@ -10,6 +10,7 @@ import pytest
 from repro.eval.fig6_miss_rate import run_fig6
 from repro.eval.table1_cycles import PAPER_AVERAGE_OVERHEAD, run_table1
 from repro.eval.table2_area import run_table2
+from tests.oracles import monitored_run
 
 
 @pytest.fixture(scope="module")
@@ -58,11 +59,13 @@ class TestTable1Bands:
             assert table1_default.row(name).normalized_overhead(8) < 1.0
 
     def test_monitor_adds_no_cycles_beyond_os_handling(self, table1_default):
+        """Replay-built rows equal whole monitored simulations."""
         for row in table1_default.rows:
             for size in (8, 16):
-                assert row.monitored_cycles[size] == (
-                    row.base_cycles + 100 * row.misses[size]
-                )
+                live = monitored_run(row.workload, size, "default")
+                assert row.monitored_cycles[size] == live.cycles
+                assert row.misses[size] == live.monitor_stats.misses
+                assert live.cycles == row.base_cycles + 100 * row.misses[size]
 
 
 class TestTable2Bands:

@@ -169,3 +169,54 @@ def test_workload_checkpoint_roundtrip():
     assert resumed.cycles == reference.cycles
     assert resumed.monitor_stats.misses == reference.monitor_stats.misses
     assert resumed.monitor_stats.os_cycles == reference.monitor_stats.os_cycles
+
+
+def trace_keys(simulator) -> tuple[tuple[int, int], ...]:
+    """The block trace a simulator has recorded so far."""
+    return simulator.snapshot().trace.keys()
+
+
+@pytest.mark.parametrize("engine", [FuncSim, PipelineCPU])
+def test_trace_restore_is_exact_prefix(engine):
+    """Snapshot, run on to the end, restore: the trace is the prefix at
+    the snapshot again, and running on rebuilds the full trace."""
+    program = assemble(PROGRAM_SOURCE, name="snapshot-corpus")
+    reference = engine(program, collect_trace=True).run()
+    full = tuple(event.key for event in reference.block_trace)
+
+    simulator = engine(program, collect_trace=True)
+    simulator.run(until=40)
+    snapshot = simulator.snapshot()
+    prefix = trace_keys(simulator)
+    assert 0 < len(prefix) < len(full)
+    assert full[: len(prefix)] == prefix
+    assert tuple(event.key for event in simulator.run().block_trace) == full
+
+    simulator.restore(snapshot)
+    assert trace_keys(simulator) == prefix
+    assert tuple(event.key for event in simulator.run().block_trace) == full
+
+
+@pytest.mark.parametrize("engine", [FuncSim, PipelineCPU])
+def test_restoring_the_source_keeps_earlier_snapshots_valid(engine):
+    """Rewinding a simulator and running it on a different distance must
+    not disturb the traces of snapshots taken from it before."""
+    program = assemble(PROGRAM_SOURCE, name="snapshot-corpus")
+    reference = engine(program, collect_trace=True).run()
+    simulator = engine(program, collect_trace=True)
+    simulator.run(until=20)
+    early = simulator.snapshot()
+    early_keys = early.trace.keys()
+    simulator.run(until=60)
+    late = simulator.snapshot()
+    late_keys = late.trace.keys()
+    assert len(early_keys) < len(late_keys)
+
+    simulator.restore(early)
+    simulator.run(until=30)
+    assert early.trace.keys() == early_keys
+    assert late.trace.keys() == late_keys
+    for snapshot in (early, late):
+        fresh = engine(program, collect_trace=True)
+        fresh.restore(snapshot)
+        assert result_key(fresh.run()) == result_key(reference)

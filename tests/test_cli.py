@@ -1,6 +1,11 @@
 """CLI tests."""
 
 import json
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
 import types
 
 import pytest
@@ -276,6 +281,45 @@ class TestWorkload:
         assert main(["workload", "quicksort"]) == 1
         assert "unknown workload" in capsys.readouterr().err
 
+
+class TestExperiments:
+    ARTIFACTS = (
+        "fig6_miss_rate",
+        "table1_cycles",
+        "table2_area",
+        "fault_analysis_xor",
+        "ablation_policies",
+        "ablation_hashes",
+    )
+
+    def test_installed_copy_writes_all_six_artifacts(self, tmp_path):
+        """A copy of the package with no checkout around it (no
+        ``examples/``) regenerates the whole roster, in order, into
+        ./results."""
+        site = tmp_path / "site"
+        shutil.copytree(
+            pathlib.Path(cli.__file__).parent, site / "repro",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        work = tmp_path / "work"
+        work.mkdir()
+        env = {**os.environ, "PYTHONPATH": str(site)}
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "experiments", "--scale", "tiny"],
+            cwd=work, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr
+        written = sorted(path.stem for path in (work / "results").iterdir())
+        assert written == sorted(self.ARTIFACTS)
+        for name in self.ARTIFACTS:
+            assert (work / "results" / f"{name}.txt").read_text().strip()
+        saved = [
+            line for line in completed.stdout.splitlines()
+            if line.startswith("[saved to ")
+        ]
+        assert saved == [
+            f"[saved to results/{name}.txt]" for name in self.ARTIFACTS
+        ]
 
 class TestChoiceMirrors:
     """The parser's literal choice tuples (kept literal so build_parser

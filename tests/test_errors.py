@@ -15,6 +15,7 @@ class TestHierarchy:
             errors.LinkError,
             errors.SimulationError,
             errors.MemoryAccessError,
+            errors.BreakTrap,
             errors.MonitorViolation,
             errors.ConfigurationError,
         ],
@@ -30,6 +31,11 @@ class TestHierarchy:
         assert not issubclass(
             errors.InstructionBudgetExceeded, errors.MemoryAccessError
         )
+
+
+    def test_break_trap_is_simulation_error(self):
+        assert issubclass(errors.BreakTrap, errors.SimulationError)
+        assert not issubclass(errors.BreakTrap, errors.InstructionBudgetExceeded)
 
 
 class TestMessages:
