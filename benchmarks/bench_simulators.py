@@ -5,9 +5,10 @@ Not a paper artifact — these track the performance of the substrate itself
 what bounds how large an evaluation sweep can get.
 
 The engine benchmarks commit *rates* in each layer's own unit — FuncSim
-``instructions_per_s`` (bare, and monitored at IHT 8), PipelineCPU
-``cycles_per_s`` and decode ``words_per_s`` — taken at the median round,
-with the rates at the slower and faster quartile rounds as the spread.
+``instructions_per_s`` and PipelineCPU ``cycles_per_s`` (each bare, and
+monitored at IHT 8) and decode ``words_per_s`` — taken at the median
+round, with the rates at the slower and faster quartile rounds as the
+spread.
 """
 
 from repro.cic.hashes import get_hash
@@ -62,11 +63,18 @@ def test_funcsim_monitored_throughput(benchmark, record_bench):
     _funcsim_rate(benchmark, record_bench, iht_size=8)
 
 
-def test_pipeline_throughput(benchmark, record_bench):
+def _pipeline_rate(benchmark, record_bench, iht_size=None):
     program = build("sha", "tiny")
+    inputs = workload_inputs("sha", "tiny")
+    fht = load_process(program).fht if iht_size is not None else None
 
     def run():
-        return PipelineCPU(program, inputs=workload_inputs("sha", "tiny")).run()
+        monitor = (
+            load_process(program, iht_size=iht_size, fht=fht).monitor
+            if iht_size is not None
+            else None
+        )
+        return PipelineCPU(program, monitor=monitor, inputs=inputs).run()
 
     result = benchmark(run)
     benchmark.extra_info["cycles"] = result.cycles
@@ -74,6 +82,15 @@ def test_pipeline_throughput(benchmark, record_bench):
         cycles=result.cycles, **_rates(benchmark, "cycles_per_s", result.cycles)
     )
     assert result.exit_code == 0
+
+
+def test_pipeline_throughput(benchmark, record_bench):
+    _pipeline_rate(benchmark, record_bench)
+
+
+def test_pipeline_monitored_throughput(benchmark, record_bench):
+    """Same run with the CIC attached (IHT 8): OS miss cycles included."""
+    _pipeline_rate(benchmark, record_bench, iht_size=8)
 
 
 def test_decode_throughput(benchmark, record_bench):

@@ -59,7 +59,6 @@ from repro.faults.campaign import (
 )
 from repro.pipeline.funcsim import FuncSim, FuncSimSnapshot
 from repro.pipeline.memory import Memory
-from repro.pipeline.trace import BlockTrace
 
 #: Aim for this many checkpoints over the golden run by default.
 DEFAULT_CHECKPOINT_COUNT = 64
@@ -164,9 +163,6 @@ class GoldenStore:
     unsafe_words: frozenset[int]
     golden_instructions: int
     interval: int
-    #: The golden run's dynamic basic-block trace — the same record the
-    #: Figure-6 replay consumes (:func:`repro.cic.replay.replay_trace`).
-    trace: BlockTrace | None = None
     #: Instruction counts of ``checkpoints``, for bisection.
     _marks: list[int] = field(default_factory=list)
 
@@ -228,7 +224,6 @@ def _record_golden_store(
         inputs=context.inputs,
         max_instructions=context.instruction_budget,
         decode_cache=warm.decode_cache,
-        collect_trace=True,
     )
     memory = _ReadRecordingMemory(
         simulator.state.memory,
@@ -281,7 +276,6 @@ def _record_golden_store(
         unsafe_words=frozenset(unsafe),
         golden_instructions=result.instructions,
         interval=interval,
-        trace=result.block_trace,
     )
 
 

@@ -6,15 +6,17 @@ Answers "where does simulated time go on the *host*?" for one
 into the four phases the paper's pipeline names — fetch, decode,
 execute, and the monitor beside them.  Attachment is pure observation:
 
-* PipelineCPU's ``_fetch_latch``/``_decode``/``_execute_stage`` bound
-  methods, and FuncSim's ``_bind_phases`` (which hands its predecoded
-  loop the fetch, op-lookup and translate callables once per ``run``),
-  are shadowed by timing wrappers **on the instance** — the class is
-  untouched, other simulators in the process are unaffected, an
-  unprofiled FuncSim step pays nothing, and
-  :meth:`PhaseProfiler.detach` restores the instance exactly.  On
-  FuncSim, fetch is the text read, decode the op-record lookup (and
-  the first-fetch translate), and execute the record's handler;
+* both engines run predecoded loops and share one phase-binding
+  contract: ``_bind_phases()`` hands ``run()``, once per call, the text
+  fetch, the record lookup and the first-fetch translate callables, and
+  every record carries its execute phase in a ``handler`` field
+  (FuncSim's instruction handler, PipelineCPU's EX-stage value function)
+  and copies itself with ``_replace``.  The profiler shadows
+  ``_bind_phases`` **on the instance** with a binder that times the
+  three callables and hands out twin records with timed handlers — the
+  class is untouched, other simulators in the process are unaffected, an
+  unprofiled step or cycle pays nothing, and
+  :meth:`PhaseProfiler.detach` restores the instance exactly;
 * the attached :class:`Monitor`, if any, is replaced by a transparent
   proxy that times ``on_instruction``/``on_block_end`` and forwards
   everything else (``.stats`` included, so ``RunResult.monitor_stats``
@@ -24,8 +26,9 @@ Because every wrapper returns its wrappee's result unchanged, a
 profiled run produces an identical :class:`RunResult` — cycles,
 instructions, exit code, console, monitor stats — which
 ``tests/obs/test_profiler.py`` pins.  Attach **before** calling
-``run()``: the simulators read ``self.monitor`` into a local at the top
-of the loop, so a proxy installed mid-run would never be consulted.
+``run()``: the simulators bind the phases and read ``self.monitor``
+into locals at the top of the loop, so wrappers installed mid-run would
+never be consulted.
 
 The profiler is deliberately not part of campaign telemetry: per-call
 wrappers cost real time on hot loops, so this is a hand tool
@@ -39,15 +42,8 @@ import time
 #: The four paper-named phase buckets, in pipeline order.
 PHASES = ("fetch", "decode", "execute", "monitor")
 
-#: PipelineCPU: phase -> instance method to shadow.
-_PIPELINE_TARGETS = {
-    "fetch": "_fetch_latch",
-    "decode": "_decode",
-    "execute": "_execute_stage",
-}
-
-#: FuncSim: the one binder that yields all three phase callables.
-_FUNCSIM_TARGET = "_bind_phases"
+#: The one binder, on either engine, that yields the phase callables.
+_BINDER = "_bind_phases"
 
 
 class _MonitorProxy:
@@ -80,14 +76,13 @@ class _MonitorProxy:
 class PhaseProfiler:
     """Host-time accounting of one simulator run, by pipeline phase."""
 
-    __slots__ = ("buckets", "_sim", "_kind", "_had_monitor")
+    __slots__ = ("buckets", "_sim", "_had_monitor")
 
     def __init__(self):
         self.buckets: dict[str, dict] = {
             phase: {"calls": 0, "seconds": 0.0} for phase in PHASES
         }
         self._sim = None
-        self._kind: str | None = None
         self._had_monitor = False
 
     def _charge(self, phase: str, seconds: float) -> None:
@@ -106,7 +101,7 @@ class PhaseProfiler:
         return timed
 
     def _timed_binder(self, bind):
-        """FuncSim's ``_bind_phases`` with every phase callable timed."""
+        """An engine's ``_bind_phases`` with every phase callable timed."""
 
         def bind_timed():
             read_word, lookup, translate = bind()
@@ -136,50 +131,32 @@ class PhaseProfiler:
 
         return bind_timed
 
-    @staticmethod
-    def kind_of(sim) -> str:
-        """Which shadow map fits *sim* (``"funcsim"``/``"pipeline"``)."""
-        if hasattr(sim, "_fetch_latch"):
-            return "pipeline"
-        if hasattr(sim, _FUNCSIM_TARGET):
-            return "funcsim"
-        raise TypeError(
-            f"cannot profile {type(sim).__name__}: "
-            "no fetch/decode/execute phase methods found"
-        )
-
     def attach(self, sim) -> "PhaseProfiler":
         """Instrument *sim* in place (call before ``sim.run()``); returns self."""
         if self._sim is not None:
             raise RuntimeError("profiler already attached")
-        kind = self.kind_of(sim)
-        if kind == "funcsim":
-            sim._bind_phases = self._timed_binder(sim._bind_phases)
-        else:
-            for phase, name in _PIPELINE_TARGETS.items():
-                setattr(sim, name, self._wrap(phase, getattr(sim, name)))
+        bind = getattr(sim, _BINDER, None)
+        if bind is None:
+            raise TypeError(
+                f"cannot profile {type(sim).__name__}: no {_BINDER}() phase binder"
+            )
+        setattr(sim, _BINDER, self._timed_binder(bind))
         self._had_monitor = getattr(sim, "monitor", None) is not None
         if self._had_monitor:
             sim.monitor = _MonitorProxy(sim.monitor, self)
         self._sim = sim
-        self._kind = kind
         return self
 
     def detach(self) -> None:
-        """Restore the simulator's own methods and monitor."""
+        """Restore the simulator's own binder and monitor."""
         sim, self._sim = self._sim, None
         if sim is None:
             return
-        if self._kind == "funcsim":
-            names = (_FUNCSIM_TARGET,)
-        else:
-            names = _PIPELINE_TARGETS.values()
-        for name in names:
-            # Deleting the instance attribute un-shadows the class method.
-            try:
-                delattr(sim, name)
-            except AttributeError:
-                pass
+        # Deleting the instance attribute un-shadows the class method.
+        try:
+            delattr(sim, _BINDER)
+        except AttributeError:
+            pass
         if self._had_monitor and isinstance(sim.monitor, _MonitorProxy):
             sim.monitor = sim.monitor._inner
 

@@ -22,6 +22,21 @@ write-through register-file behaviour (WB writes visible to same-cycle ID
 and EX reads) falls out naturally, and only the EX/MEM→EX and EX/MEM→ID
 bypasses need explicit modelling.
 
+The stage loop is predecoded, like FuncSim's.  Everything that depends
+only on the fetched word is worked out once, on the word's first decode,
+into a :class:`StageRecord` built from the word's
+:class:`~repro.pipeline.funcsim.OpRecord`: the hazard unit's read mode and
+``$0``-free sources, the destination, the EX-stage value function and the
+registers feeding it, the MEM access, the ID-stage redirect and the trap
+kind.  Records live in :attr:`DecodeCache.stages
+<repro.pipeline.funcsim.DecodeCache>`, keyed by the *fetched* word (after
+the fetch hook), so a corrupted word gets its own record and an
+undecodable word raises :class:`~repro.errors.DecodingError` each time it
+reaches ID without ever being cached.  ``run()`` keeps the four latches
+and the cycle counters in locals and writes them back, as the picklable
+latch dataclasses below, whenever it returns or raises — so snapshots
+see the same values at every pause point.
+
 Cycle accounting is asserted (by the differential test suite) to equal the
 analytical scoreboard of :class:`~repro.pipeline.funcsim.FuncSim` exactly,
 instruction for instruction, on every workload.
@@ -29,7 +44,8 @@ instruction for instruction, on every workload.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as _copy_latch
+from dataclasses import dataclass, replace
+from sys import maxsize
 from typing import Callable
 
 from repro.errors import (
@@ -39,7 +55,15 @@ from repro.errors import (
 )
 from repro.asm.program import Program
 from repro.pipeline import semantics
-from repro.pipeline.funcsim import Monitor, RunResult
+from repro.pipeline.funcsim import (
+    READS_EX,
+    READS_ID,
+    UNIT_MULT,
+    DecodeCache,
+    Monitor,
+    OpRecord,
+    RunResult,
+)
 from repro.pipeline.hazards import CycleModel
 from repro.pipeline.snapshot import (
     ArchSnapshot,
@@ -52,12 +76,18 @@ from repro.pipeline.snapshot import (
 from repro.pipeline.state import ArchState
 from repro.pipeline.syscalls import SyscallHandler
 from repro.pipeline.trace import BlockTrace, TraceMark, mark_trace, restore_trace
-from repro.isa.encoding import decode
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Mnemonic
-from repro.isa.properties import BRANCHES, INDIRECT_JUMPS, is_control_flow
+from repro.isa.properties import BRANCHES, INDIRECT_JUMPS
+from repro.utils.bitops import MASK32
 
 FetchHook = Callable[[int, int], int]
+
+
+# The stage latches are the picklable form of the machine's in-flight
+# state.  ``run()`` holds them in locals and builds new latch objects when
+# it returns; nothing mutates one after creation, so snapshots and the
+# machine share them without copies.
 
 
 @dataclass(slots=True)
@@ -94,9 +124,179 @@ class _MEMWB:
     dest: int | None
 
 
-def _latch_copy(latch):
-    """Copy a stage latch (None-safe); instructions are shared, immutable."""
-    return None if latch is None else _copy_latch(latch)
+# ---------------------------------------------------------------------------
+# Stage records: what each stage needs, derived once per fetched word
+# ---------------------------------------------------------------------------
+
+#: EX-stage kinds.  ``EX_VALUE`` is ``result = handler(a, b)`` over the
+#: forwarded values of ``ex_a``/``ex_b`` (ALU ops, load/store addresses,
+#: and ``0`` for instructions with nothing to compute); the rest touch the
+#: multiply unit or HI/LO, or pass on the link value ``jal``/``jalr``
+#: resolve in ID.
+EX_VALUE = 0
+EX_LINK = 1
+EX_MULDIV = 2
+EX_MFHI = 3
+EX_MFLO = 4
+EX_MTHI = 5
+EX_MTLO = 6
+
+#: MEM-stage accesses.
+MEM_NONE = 0
+MEM_LOAD = 1
+MEM_STORE = 2
+
+#: Traps acted on at WB (``syscall`` also serializes decode from ID).
+TRAP_NONE = 0
+TRAP_SYSCALL = 1
+TRAP_BREAK = 2
+
+
+@dataclass(frozen=True, slots=True)
+class StageRecord:
+    """The predecoded form of one instruction word, for the stage loop.
+
+    A slotted dataclass rather than a named tuple: the loop reads a few
+    fields per stage, and slot reads are the cheaper ones.
+    """
+
+    #: The decoded word; the only thing the (picklable) latches carry.
+    instruction: Instruction
+    #: EX-stage value function ``handler(a, b)`` (:data:`EX_VALUE` and
+    #: :data:`EX_MULDIV`), bound to the :mod:`~repro.pipeline.semantics`
+    #: tables and the word's immediates.
+    handler: Callable
+    #: One of the ``EX_*`` kinds.
+    ex: int
+    #: Registers whose EX-stage (forwarded) values feed ``handler``.
+    ex_a: int
+    ex_b: int
+    #: One of the ``MEM_*`` accesses, and its :data:`semantics.LOADS` /
+    #: :data:`semantics.STORES` entry.
+    mem: int
+    access: Callable | None
+    #: Hazard-unit facts, as in :class:`~repro.pipeline.funcsim.OpRecord`.
+    read_mode: int
+    sources: tuple[int, ...]
+    #: Register written, or ``-1`` for none (or ``$0``).
+    dest: int
+    #: ``dest`` for loads, else ``-1``: what the load-use interlock checks.
+    load_dest: int
+    unit: int
+    control_flow: bool
+    #: ID-stage redirect ``resolve(pc, a, b) -> target | None`` over the
+    #: bypassed values of ``id_a``/``id_b``; ``None`` for non-transfers.
+    resolve: Callable | None
+    id_a: int
+    id_b: int
+    #: One of the ``TRAP_*`` kinds.
+    trap: int
+
+    def _replace(self, **changes) -> "StageRecord":
+        """A copy with *changes*, spelled as on :class:`OpRecord`."""
+        return replace(self, **changes)
+
+
+def _zero(a, b):
+    return 0
+
+
+def _ex_function(instruction: Instruction) -> tuple[int, Callable, int, int]:
+    """``(kind, handler, ex_a, ex_b)`` of one decoded instruction."""
+    m = instruction.mnemonic
+    rs, rt = instruction.rs, instruction.rt
+    alu = semantics.ALU_OPS.get(m)
+    if alu is not None:
+        form, fn = alu
+        if form is semantics.REG_REG:
+            return EX_VALUE, fn, rs, rt
+        if form is semantics.SHIFT_REG:
+            return EX_VALUE, fn, rt, rs
+        if form is semantics.REG_IMM:
+            imm = instruction.imm
+            return EX_VALUE, lambda a, b: fn(a, imm), rs, 0
+        shamt = instruction.shamt
+        return EX_VALUE, lambda a, b: fn(a, shamt), rt, 0
+    if instruction.is_load() or instruction.is_store():
+        address = semantics.effective_address
+        offset = instruction.imm
+        return EX_VALUE, lambda a, b: address(a, offset), rs, 0
+    muldiv = semantics.MULDIV_OPS.get(m)
+    if muldiv is not None:
+        return EX_MULDIV, muldiv, rs, rt
+    if m is Mnemonic.MFHI:
+        return EX_MFHI, _zero, 0, 0
+    if m is Mnemonic.MFLO:
+        return EX_MFLO, _zero, 0, 0
+    if m is Mnemonic.MTHI:
+        return EX_MTHI, _zero, rs, 0
+    if m is Mnemonic.MTLO:
+        return EX_MTLO, _zero, rs, 0
+    if m is Mnemonic.JAL or m is Mnemonic.JALR:
+        return EX_LINK, _zero, 0, 0
+    # Branches, j, jr and traps compute nothing in EX.
+    return EX_VALUE, _zero, 0, 0
+
+
+def _resolver(instruction: Instruction) -> tuple[Callable | None, int, int]:
+    """``(resolve, id_a, id_b)``: the ID-stage redirect of a transfer."""
+    m = instruction.mnemonic
+    if m in BRANCHES:
+        taken = semantics.BRANCH_CONDITIONS[m]
+        branch = semantics.branch_target
+        imm = instruction.imm
+
+        def resolve(pc, a, b):
+            if taken(a, b):
+                return branch(pc, imm)
+            return None
+
+        return resolve, instruction.rs, instruction.rt
+    if m is Mnemonic.J or m is Mnemonic.JAL:
+        jump = semantics.jump_target
+        target = instruction.target
+        return (lambda pc, a, b: jump(pc, target)), 0, 0
+    if m in INDIRECT_JUMPS:
+        return (lambda pc, a, b: a), instruction.rs, 0
+    return None, 0, 0
+
+
+def stage_record(instruction: Instruction, op: OpRecord) -> StageRecord:
+    """Predecode *instruction* (whose op record is *op*) for the stage loop."""
+    m = instruction.mnemonic
+    kind, handler, ex_a, ex_b = _ex_function(instruction)
+    resolve, id_a, id_b = _resolver(instruction)
+    if op.is_load:
+        mem, access = MEM_LOAD, semantics.LOADS[m]
+    elif instruction.is_store():
+        mem, access = MEM_STORE, semantics.STORES[m]
+    else:
+        mem, access = MEM_NONE, None
+    if m is Mnemonic.SYSCALL:
+        trap = TRAP_SYSCALL
+    elif m is Mnemonic.BREAK:
+        trap = TRAP_BREAK
+    else:
+        trap = TRAP_NONE
+    return StageRecord(
+        instruction=instruction,
+        handler=handler,
+        ex=kind,
+        ex_a=ex_a,
+        ex_b=ex_b,
+        mem=mem,
+        access=access,
+        read_mode=op.read_mode,
+        sources=op.sources,
+        dest=op.dest,
+        load_dest=op.dest if op.is_load else -1,
+        unit=op.unit,
+        control_flow=op.control_flow,
+        resolve=resolve,
+        id_a=id_a,
+        id_b=id_b,
+        trap=trap,
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,7 +338,7 @@ class PipelineCPU:
         collect_trace: bool = False,
         inputs: list[int] | None = None,
         max_cycles: int = 200_000_000,
-        decode_cache: dict[int, Instruction] | None = None,
+        decode_cache: DecodeCache | None = None,
     ):
         self.program = program
         self.cycle_model = cycle_model or CycleModel()
@@ -150,9 +350,15 @@ class PipelineCPU:
         self.syscalls = SyscallHandler()
         if inputs:
             self.syscalls.inputs.extend(inputs)
-        self._decode_cache: dict[int, Instruction] = (
-            decode_cache if decode_cache is not None else {}
-        )
+        if decode_cache is None:
+            decode_cache = DecodeCache()
+        elif not isinstance(decode_cache, DecodeCache):
+            raise TypeError(
+                "decode_cache must be a DecodeCache (it carries the stage "
+                f"records), not {type(decode_cache).__name__}"
+            )
+        self._decode_cache = decode_cache
+        self._stages = decode_cache.stages
         self._text_start = program.text_start
         self._text_end = program.text_end
         # Resumable machine state: stage latches plus the counters the
@@ -184,24 +390,23 @@ class PipelineCPU:
         """Instructions that have entered ID so far."""
         return self._executed
 
-    def _fetch_latch(self, address: int) -> _IFID:
-        """Fetch into the IF/ID latch; out-of-text fetches are poisoned and
-        raise a bus-error machine check only if the slot reaches decode
-        (a speculative prefetch past the final syscall is squashed by the
-        program exiting first)."""
-        if not self._text_start <= address < self._text_end:
-            return _IFID(address, 0, fault=True)
-        word = self.state.memory.read_word(address)
-        if self.fetch_hook is not None:
-            word = self.fetch_hook(address, word)
-        return _IFID(address, word)
+    def _translate(self, word: int, address: int) -> StageRecord:
+        """First decode of *word*: build and cache its stage record."""
+        cache = self._decode_cache
+        op = cache.ops.get(word) or cache.translate(word, address)
+        record = stage_record(cache[word], op)
+        self._stages[word] = record
+        return record
 
-    def _decode(self, word: int, address: int) -> Instruction:
-        cached = self._decode_cache.get(word)
-        if cached is None:
-            cached = decode(word, address)
-            self._decode_cache[word] = cached
-        return cached
+    def _bind_phases(self):
+        """The fetch, record-lookup and translate callables one ``run`` uses.
+
+        The same contract as :meth:`FuncSim._bind_phases
+        <repro.pipeline.funcsim.FuncSim._bind_phases>`: ``run()`` binds them
+        once, so the phase profiler can shadow this method with timed
+        versions without costing an unprofiled cycle anything.
+        """
+        return self.state.memory.read_word, self._stages.get, self._translate
 
     # ------------------------------------------------------------------
 
@@ -211,169 +416,305 @@ class PipelineCPU:
         program exit.  Calling ``run`` again continues the same machine.
         """
         state = self.state
-        model = self.cycle_model
+        regs = state.regs
+        memory = state.memory
+        read_word, lookup, translate = self._bind_phases()
+        text_start = self._text_start
+        text_end = self._text_end
+        fetch_hook = self.fetch_hook
         monitor = self.monitor
+        on_instruction = on_block_end = None
+        if monitor is not None:
+            on_instruction = monitor.on_instruction
+            on_block_end = monitor.on_block_end
         trace = self._trace
+        trace_append = trace.append if trace is not None else None
+        syscalls = self.syscalls
+        model = self.cycle_model
+        mult_latency = model.mult_latency
+        div_latency = model.div_latency
+        trap_refill = model.depth - 2
+        max_cycles = self.max_cycles
+        stop = maxsize if until is None else until
+        link_value = semantics.link_value
 
-        while not self._finished:
-            if until is not None and self._executed >= until:
-                break
-            cycle = self._cycle + 1
-            if cycle > self.max_cycles:
-                raise InstructionBudgetExceeded(
-                    f"cycle limit {self.max_cycles} exceeded", cycle=cycle
-                )
-            self._cycle = cycle
-            old_ex_mem = self._ex_mem
-            redirect_target: int | None = None
+        cycle = self._cycle
+        executed = self._executed
+        ex_busy = self._ex_busy
+        pending_hilo = self._pending_hilo
+        frozen_until = self._id_frozen_until
+        block_start = self._block_start
+        finished = self._finished
+        fetch_pc = state.pc
 
-            # ---------------- WB ----------------
-            mem_wb = self._mem_wb
-            if mem_wb is not None:
-                m = mem_wb.instruction.mnemonic
-                if mem_wb.dest is not None and mem_wb.value is not None:
-                    state.write_reg(mem_wb.dest, mem_wb.value)
-                if m is Mnemonic.SYSCALL:
-                    result = self.syscalls.execute(state)
-                    if result.exited:
-                        self._mem_wb = None
-                        self._finished = True
-                        self._exit_code = result.exit_code
-                        break
-                elif m is Mnemonic.BREAK:
-                    raise BreakTrap(
-                        f"break {mem_wb.instruction.code}", pc=mem_wb.pc, cycle=cycle
-                    )
-            self._mem_wb = None
+        def record_of(latch) -> StageRecord:
+            word = latch.instruction.word
+            return lookup(word) or translate(word, latch.pc)
 
-            # ---------------- MEM ----------------
-            ex_mem = self._ex_mem
-            if ex_mem is not None:
-                instruction = ex_mem.instruction
-                if ex_mem.is_load:
-                    value = semantics.load_value(
-                        instruction, state.memory, ex_mem.result
+        # The latches as locals.  An empty latch has ``None`` for its
+        # record (``f_pc`` for IF/ID); ``f_word`` is ``None`` for a fetch
+        # outside the text segment, and ``f_op`` stays ``None`` until the
+        # word's record exists.  ``m_dest``/``m_value`` are the EX/MEM→EX
+        # and →ID bypass once MEM has moved the old EX/MEM latch into
+        # MEM/WB; ``x_ld`` is the load destination EX took this cycle.
+        latch = self._if_id
+        f_pc = f_word = f_op = None
+        if latch is not None:
+            f_pc = latch.pc
+            if not latch.fault:
+                f_word = latch.word
+                f_op = lookup(f_word)
+        latch = self._id_ex
+        d_op = d_pc = d_link = None
+        if latch is not None:
+            d_op, d_pc, d_link = record_of(latch), latch.pc, latch.id_result
+        latch = self._ex_mem
+        x_op = x_pc = None
+        x_result = 0
+        x_dest = x_ld = -1
+        if latch is not None:
+            x_op, x_pc, x_result = record_of(latch), latch.pc, latch.result
+            x_dest = x_op.dest
+        latch = self._mem_wb
+        m_op = m_pc = m_value = None
+        m_dest = -1
+        if latch is not None:
+            m_op, m_pc, m_value = record_of(latch), latch.pc, latch.value
+            m_dest = m_op.dest
+        try:
+            while not finished:
+                if executed >= stop:
+                    break
+                if cycle >= max_cycles:
+                    raise InstructionBudgetExceeded(
+                        f"cycle limit {max_cycles} exceeded", cycle=cycle + 1
                     )
-                    self._mem_wb = _MEMWB(instruction, ex_mem.pc, value, ex_mem.dest)
-                elif ex_mem.is_store:
-                    # Store data is read at MEM time: this cycle's WB has
-                    # already updated the register file, covering every
-                    # producer distance without a dedicated bypass.
-                    semantics.store_value(
-                        instruction,
-                        state.memory,
-                        ex_mem.result,
-                        state.read_reg(instruction.rt),
-                    )
-                    self._mem_wb = _MEMWB(instruction, ex_mem.pc, None, None)
-                else:
-                    self._mem_wb = _MEMWB(
-                        instruction, ex_mem.pc, ex_mem.result, ex_mem.dest
-                    )
-                self._ex_mem = None
+                cycle += 1
 
-            # ---------------- EX ----------------
-            in_ex: Instruction | None = None
-            if self._ex_busy > 0:
-                self._ex_busy -= 1
-                if self._ex_busy == 0 and self._pending_hilo is not None:
-                    state.hi, state.lo = self._pending_hilo
-                    self._pending_hilo = None
-            elif self._id_ex is not None:
-                consumed = self._id_ex
-                self._id_ex = None
-                in_ex = consumed.instruction
-                self._ex_mem, started_busy = self._execute_stage(
-                    consumed, old_ex_mem, model
-                )
-                if started_busy is not None:
-                    self._ex_busy, self._pending_hilo = started_busy
-
-            # ---------------- ID ----------------
-            accepted = False
-            if_id = self._if_id
-            if (
-                self._id_ex is None
-                and if_id is not None
-                and cycle >= self._id_frozen_until
-            ):
-                if if_id.fault:
-                    raise MemoryAccessError(
-                        "instruction fetch outside text segment at "
-                        f"{if_id.pc:#010x}",
-                        pc=if_id.pc,
-                        cycle=cycle,
-                    )
-                instruction = self._decode(if_id.word, if_id.pc)
-                if not self._id_stall(
-                    instruction, in_ex, old_ex_mem, self._pending_hilo
-                ):
-                    accepted = True
-                    self._executed += 1
-                    pc = if_id.pc
-                    if self._block_start is None:
-                        self._block_start = pc
-                    if monitor is not None:
-                        monitor.on_instruction(pc, if_id.word)
-                    if is_control_flow(instruction):
-                        if trace is not None:
-                            trace.append(self._block_start, pc)
-                        self._block_start = None
-                        if monitor is not None:
-                            extra = monitor.on_block_end(pc)
-                            if extra:
-                                self._cycle += extra
-                                # The OS episode runs on this CPU: an
-                                # in-flight multiply finishes during it.
-                                drained = min(self._ex_busy, extra)
-                                self._ex_busy -= drained
-                                if (
-                                    self._ex_busy == 0
-                                    and self._pending_hilo is not None
-                                ):
-                                    state.hi, state.lo = self._pending_hilo
-                                    self._pending_hilo = None
-                    id_result: int | None = None
-                    m = instruction.mnemonic
-                    if m in BRANCHES:
-                        rs_value = self._id_read(instruction.rs, old_ex_mem)
-                        rt_value = self._id_read(instruction.rt, old_ex_mem)
-                        if semantics.branch_taken(instruction, rs_value, rt_value):
-                            redirect_target = semantics.control_target(
-                                instruction, pc, rs_value
+                # ---------------- WB ----------------
+                if m_op is not None:
+                    if m_dest >= 0:
+                        regs[m_dest] = m_value
+                    if m_op.trap:
+                        if m_op.trap == TRAP_BREAK:
+                            raise BreakTrap(
+                                f"break {m_op.instruction.code}",
+                                pc=m_pc,
+                                cycle=cycle,
                             )
-                    elif m is Mnemonic.J:
-                        redirect_target = semantics.control_target(instruction, pc, 0)
-                    elif m is Mnemonic.JAL:
-                        redirect_target = semantics.control_target(instruction, pc, 0)
-                        id_result = semantics.link_value(pc)
-                    elif m is Mnemonic.JR:
-                        redirect_target = self._id_read(instruction.rs, old_ex_mem)
-                    elif m is Mnemonic.JALR:
-                        redirect_target = self._id_read(instruction.rs, old_ex_mem)
-                        id_result = semantics.link_value(pc)
-                    elif m is Mnemonic.SYSCALL:
-                        # Traps serialize: next decode after this WB.
-                        self._id_frozen_until = self._cycle + model.depth - 2
-                    self._id_ex = _IDEX(instruction, pc, id_result)
+                        state.pc = fetch_pc
+                        outcome = syscalls.execute(state)
+                        if outcome.exited:
+                            m_op = None
+                            finished = True
+                            self._exit_code = outcome.exit_code
+                            break
+                    m_op = None
 
-            # ---------------- IF ----------------
-            if redirect_target is not None:
-                self._if_id = None  # squash the wrong-path fetch slot
-                state.pc = redirect_target & 0xFFFFFFFF
-            elif self._if_id is None or accepted:
-                self._if_id = self._fetch_latch(state.pc)
-                state.pc = (state.pc + 4) & 0xFFFFFFFF
-            # else: hold if_id and the fetch PC
+                # ---------------- MEM ----------------
+                if x_op is not None:
+                    mem = x_op.mem
+                    if mem == MEM_NONE:
+                        m_value = x_result
+                    elif mem == MEM_LOAD:
+                        m_value = x_op.access(memory, x_result)
+                    else:
+                        # Store data is read at MEM time: this cycle's WB
+                        # has already updated the register file, covering
+                        # every producer distance without a bypass.
+                        x_op.access(memory, x_result, regs[x_op.instruction.rt])
+                        m_value = None
+                    m_op = x_op
+                    m_pc = x_pc
+                    m_dest = x_dest
+                    x_op = None
+                else:
+                    m_dest = -1
 
+                # ---------------- EX ----------------
+                if ex_busy:
+                    ex_busy -= 1
+                    if not ex_busy and pending_hilo is not None:
+                        state.hi, state.lo = pending_hilo
+                        pending_hilo = None
+                    x_ld = -1
+                elif d_op is not None:
+                    op = d_op
+                    d_op = None
+                    kind = op.ex
+                    if kind == EX_VALUE:
+                        # The register file already reflects this cycle's
+                        # WB; the old EX/MEM latch (now in MEM/WB) is the
+                        # distance-1 bypass.  Loads never forward here: the
+                        # load-use interlock keeps consumers a cycle away.
+                        register = op.ex_a
+                        a = m_value if register == m_dest else regs[register]
+                        register = op.ex_b
+                        b = m_value if register == m_dest else regs[register]
+                        x_result = op.handler(a, b)
+                    elif kind == EX_LINK:
+                        x_result = d_link
+                    else:
+                        register = op.ex_a
+                        a = m_value if register == m_dest else regs[register]
+                        x_result = 0
+                        if kind == EX_MULDIV:
+                            register = op.ex_b
+                            b = m_value if register == m_dest else regs[register]
+                            hilo = op.handler(a, b)
+                            if op.unit == UNIT_MULT:
+                                latency = mult_latency
+                            else:
+                                latency = div_latency
+                            if latency > 0:
+                                ex_busy = latency
+                                pending_hilo = hilo
+                            else:
+                                state.hi, state.lo = hilo
+                        elif kind == EX_MFHI:
+                            x_result = state.hi
+                        elif kind == EX_MFLO:
+                            x_result = state.lo
+                        elif kind == EX_MTHI:
+                            state.hi = a
+                        else:
+                            state.lo = a
+                    x_op = op
+                    x_pc = d_pc
+                    x_dest = op.dest
+                    x_ld = op.load_dest
+                else:
+                    x_ld = -1
+
+                # ---------------- ID ----------------
+                if d_op is None and f_pc is not None and cycle >= frozen_until:
+                    op = f_op
+                    if op is None:
+                        if f_word is None:
+                            raise MemoryAccessError(
+                                "instruction fetch outside text segment at "
+                                f"{f_pc:#010x}",
+                                pc=f_pc,
+                                cycle=cycle,
+                            )
+                        op = f_op = translate(f_word, f_pc)
+                    # Hazard detection unit (see hazards.py for the rules).
+                    read_mode = op.read_mode
+                    if read_mode == READS_EX:
+                        # Load-use; a store's data register is read in MEM.
+                        stalled = x_ld in op.sources
+                    elif read_mode == READS_ID:
+                        # A producer still in EX delivers next cycle; a
+                        # load in MEM has not yet written back.
+                        in_ex = x_dest if x_op is not None else -1
+                        in_mem = -1
+                        if m_op is not None and m_op.mem == MEM_LOAD:
+                            in_mem = m_dest
+                        stalled = False
+                        for source in op.sources:
+                            if source == in_ex or source == in_mem:
+                                stalled = True
+                                break
+                    else:
+                        stalled = pending_hilo is not None
+                    if not stalled:
+                        executed += 1
+                        pc = f_pc
+                        if block_start is None:
+                            block_start = pc
+                        if on_instruction is not None:
+                            on_instruction(pc, f_word)
+                        link = target = None
+                        if op.control_flow:
+                            if trace_append is not None:
+                                trace_append(block_start, pc)
+                            block_start = None
+                            if on_block_end is not None:
+                                extra = on_block_end(pc)
+                                if extra:
+                                    cycle += extra
+                                    # The OS episode runs on this CPU: an
+                                    # in-flight multiply finishes during it.
+                                    ex_busy -= min(ex_busy, extra)
+                                    if not ex_busy and pending_hilo is not None:
+                                        state.hi, state.lo = pending_hilo
+                                        pending_hilo = None
+                            resolve = op.resolve
+                            if resolve is not None:
+                                # ID-stage reads: register file after this
+                                # cycle's WB, plus the EX/MEM→ID bypass.
+                                register = op.id_a
+                                a = m_value if register == m_dest else regs[register]
+                                register = op.id_b
+                                b = m_value if register == m_dest else regs[register]
+                                if op.ex == EX_LINK:
+                                    link = link_value(pc)
+                                target = resolve(pc, a, b)
+                            elif op.trap == TRAP_SYSCALL:
+                                # Traps serialize: next decode after WB.
+                                frozen_until = cycle + trap_refill
+                        d_op = op
+                        d_pc = pc
+                        d_link = link
+                        f_pc = None  # consumed: IF refills the slot below
+                        if target is not None:
+                            # Taken: IF idles this cycle (the one-slot
+                            # redirect bubble) and restarts at the target.
+                            fetch_pc = target & MASK32
+                            continue
+
+                # ---------------- IF ----------------
+                if f_pc is None:
+                    # Out-of-text fetches are poisoned and raise a bus
+                    # error only if the slot reaches decode (a prefetch
+                    # past the final syscall is squashed by the exit).
+                    f_pc = fetch_pc
+                    if text_start <= fetch_pc < text_end:
+                        f_word = read_word(fetch_pc)
+                        if fetch_hook is not None:
+                            f_word = fetch_hook(fetch_pc, f_word)
+                        f_op = lookup(f_word)
+                    else:
+                        f_word = f_op = None
+                    fetch_pc = (fetch_pc + 4) & MASK32
+                # else: hold if_id and the fetch PC
+        finally:
+            self._cycle = cycle
+            self._executed = executed
+            self._ex_busy = ex_busy
+            self._pending_hilo = pending_hilo
+            self._id_frozen_until = frozen_until
+            self._block_start = block_start
+            self._finished = finished
+            state.pc = fetch_pc
+            if f_pc is None:
+                self._if_id = None
+            elif f_word is None:
+                self._if_id = _IFID(f_pc, 0, fault=True)
+            else:
+                self._if_id = _IFID(f_pc, f_word)
+            self._id_ex = (
+                None if d_op is None else _IDEX(d_op.instruction, d_pc, d_link)
+            )
+            self._ex_mem = None if x_op is None else _EXMEM(
+                x_op.instruction,
+                x_pc,
+                x_result,
+                None if x_dest < 0 else x_dest,
+                x_op.mem == MEM_LOAD,
+                x_op.mem == MEM_STORE,
+            )
+            self._mem_wb = None if m_op is None else _MEMWB(
+                m_op.instruction, m_pc, m_value, None if m_dest < 0 else m_dest
+            )
         return RunResult(
-            cycles=self._cycle,
-            instructions=self._executed,
+            cycles=cycle,
+            instructions=executed,
             exit_code=self._exit_code,
-            console=self.syscalls.console_text,
+            console=syscalls.console_text,
             block_trace=trace,
             monitor_stats=getattr(monitor, "stats", None),
-            finished=self._finished,
+            finished=finished,
         )
 
     # ------------------------------------------------------------------
@@ -389,10 +730,10 @@ class PipelineCPU:
             syscalls=snapshot_syscalls(self.syscalls),
             block_start=self._block_start,
             trace=mark_trace(self._trace),
-            if_id=_latch_copy(self._if_id),
-            id_ex=_latch_copy(self._id_ex),
-            ex_mem=_latch_copy(self._ex_mem),
-            mem_wb=_latch_copy(self._mem_wb),
+            if_id=self._if_id,
+            id_ex=self._id_ex,
+            ex_mem=self._ex_mem,
+            mem_wb=self._mem_wb,
             ex_busy=self._ex_busy,
             pending_hilo=self._pending_hilo,
             id_frozen_until=self._id_frozen_until,
@@ -407,159 +748,13 @@ class PipelineCPU:
         self._cycle = snapshot.cycle
         self._executed = snapshot.instructions
         self._block_start = snapshot.block_start
-        self._if_id = _latch_copy(snapshot.if_id)
-        self._id_ex = _latch_copy(snapshot.id_ex)
-        self._ex_mem = _latch_copy(snapshot.ex_mem)
-        self._mem_wb = _latch_copy(snapshot.mem_wb)
+        self._if_id = snapshot.if_id
+        self._id_ex = snapshot.id_ex
+        self._ex_mem = snapshot.ex_mem
+        self._mem_wb = snapshot.mem_wb
         self._ex_busy = snapshot.ex_busy
         self._pending_hilo = snapshot.pending_hilo
         self._id_frozen_until = snapshot.id_frozen_until
         restore_trace(self._trace, snapshot.trace)
         self._finished = snapshot.finished
         self._exit_code = snapshot.exit_code
-
-    # ------------------------------------------------------------------
-
-    def _execute_stage(
-        self,
-        latch: _IDEX,
-        old_ex_mem: _EXMEM | None,
-        model: CycleModel,
-    ) -> tuple[_EXMEM | None, tuple[int, tuple[int, int] | None] | None]:
-        """Process one instruction in EX; return (ex_mem, busy-start)."""
-        state = self.state
-        instruction = latch.instruction
-        m = instruction.mnemonic
-
-        def operand(register: int) -> int:
-            # Register file already reflects this cycle's WB; the EX/MEM
-            # latch provides the distance-1 bypass.  Loads cannot appear
-            # here: the load-use interlock keeps consumers a cycle away.
-            value = state.read_reg(register)
-            if (
-                old_ex_mem is not None
-                and old_ex_mem.dest == register
-                and register != 0
-            ):
-                assert not old_ex_mem.is_load
-                value = old_ex_mem.result
-            return value
-
-        if latch.id_result is not None:
-            return (
-                _EXMEM(
-                    instruction,
-                    latch.pc,
-                    latch.id_result,
-                    instruction.destination_register(),
-                    False,
-                    False,
-                ),
-                None,
-            )
-        if m in (Mnemonic.MULT, Mnemonic.MULTU, Mnemonic.DIV, Mnemonic.DIVU):
-            hilo = semantics.muldiv_result(
-                instruction, operand(instruction.rs), operand(instruction.rt)
-            )
-            latency = (
-                model.mult_latency
-                if m in (Mnemonic.MULT, Mnemonic.MULTU)
-                else model.div_latency
-            )
-            passthrough = _EXMEM(instruction, latch.pc, 0, None, False, False)
-            if latency > 0:
-                return passthrough, (latency, hilo)
-            state.hi, state.lo = hilo  # type: ignore[misc]
-            return passthrough, None
-        if m is Mnemonic.MFHI:
-            return (
-                _EXMEM(
-                    instruction, latch.pc, state.hi,
-                    instruction.destination_register(), False, False,
-                ),
-                None,
-            )
-        if m is Mnemonic.MFLO:
-            return (
-                _EXMEM(
-                    instruction, latch.pc, state.lo,
-                    instruction.destination_register(), False, False,
-                ),
-                None,
-            )
-        if m is Mnemonic.MTHI:
-            state.hi = operand(instruction.rs)
-            return _EXMEM(instruction, latch.pc, 0, None, False, False), None
-        if m is Mnemonic.MTLO:
-            state.lo = operand(instruction.rs)
-            return _EXMEM(instruction, latch.pc, 0, None, False, False), None
-        # Forward only the registers this instruction actually reads at EX:
-        # store data is consumed at MEM, and I-type rt is a destination.
-        sources = instruction.source_registers()
-        rs_value = operand(instruction.rs) if instruction.rs in sources else 0
-        if instruction.rt in sources and not instruction.is_store():
-            rt_value = operand(instruction.rt)
-        else:
-            rt_value = 0
-        result = semantics.alu_result(instruction, rs_value, rt_value)
-        return (
-            _EXMEM(
-                instruction,
-                latch.pc,
-                result if result is not None else 0,
-                instruction.destination_register(),
-                instruction.is_load(),
-                instruction.is_store(),
-            ),
-            None,
-        )
-
-    def _id_read(self, register: int, old_ex_mem: _EXMEM | None) -> int:
-        """ID-stage register read with the EX/MEM→ID bypass.
-
-        The register file already reflects this cycle's WB (write-through),
-        covering distance >= 2 producers; the instruction currently in MEM
-        forwards its EX result (non-loads; loads were stalled out).
-        """
-        value = self.state.read_reg(register)
-        if (
-            old_ex_mem is not None
-            and old_ex_mem.dest == register
-            and register != 0
-        ):
-            assert not old_ex_mem.is_load
-            value = old_ex_mem.result
-        return value
-
-    @staticmethod
-    def _id_stall(
-        instruction: Instruction,
-        in_ex: Instruction | None,
-        old_ex_mem: _EXMEM | None,
-        pending_hilo: tuple[int, int] | None,
-    ) -> bool:
-        """Hazard detection unit (see hazards.py for the rule derivation)."""
-        m = instruction.mnemonic
-        in_ex_dest = in_ex.destination_register() if in_ex is not None else None
-        in_ex_load = in_ex.is_load() if in_ex is not None else False
-        if m in BRANCHES or m in INDIRECT_JUMPS:
-            for source in instruction.source_registers():
-                if source == 0:
-                    continue
-                if in_ex_dest == source:
-                    return True  # producer still in EX: value next cycle
-                if (
-                    old_ex_mem is not None
-                    and old_ex_mem.dest == source
-                    and old_ex_mem.is_load
-                ):
-                    return True  # load in MEM: data not yet written back
-            return False
-        if m in (Mnemonic.MFHI, Mnemonic.MFLO) and pending_hilo is not None:
-            return True
-        if in_ex_load and in_ex_dest is not None:
-            # Load-use: stores need rs at EX (address) but rt only at MEM.
-            if instruction.is_store():
-                return instruction.rs == in_ex_dest
-            return in_ex_dest in instruction.source_registers()
-        return False

@@ -43,7 +43,7 @@ workers share it across every injection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Protocol
+from typing import TYPE_CHECKING, Callable, NamedTuple, Protocol
 
 from repro.errors import (
     BreakTrap,
@@ -74,6 +74,9 @@ from repro.isa.properties import (
     INDIRECT_JUMPS,
 )
 from repro.utils.bitops import MASK32
+
+if TYPE_CHECKING:
+    from repro.pipeline.cpu import StageRecord
 
 FetchHook = Callable[[int, int], int]
 
@@ -148,21 +151,38 @@ class OpRecord(NamedTuple):
 
 
 class DecodeCache(dict):
-    """Word→:class:`Instruction` decode cache with its op records beside it.
+    """Word→:class:`Instruction` decode cache with both engines' records.
 
-    The mapping itself holds only :class:`Instruction` values, so
-    :class:`~repro.pipeline.cpu.PipelineCPU` can share it; :attr:`ops` maps
-    the same words to their :class:`OpRecord`.  Pickling keeps only the
-    instructions (records hold closures); a receiving process rebuilds
-    records on first fetch.
+    The mapping itself holds only :class:`Instruction` values; :attr:`ops`
+    maps the same words to their :class:`OpRecord` (FuncSim's), and
+    :attr:`stages` to the :class:`~repro.pipeline.cpu.StageRecord`
+    :class:`~repro.pipeline.cpu.PipelineCPU` builds from those op records.
+    :meth:`translate` is the one decode path behind both.  Pickling keeps
+    only the instructions (records hold closures); a receiving process
+    rebuilds records on first fetch.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.ops: dict[int, OpRecord] = {}
+        self.stages: dict[int, StageRecord] = {}
 
     def __reduce__(self):
         return (DecodeCache, (dict(self),))
+
+    def translate(self, word: int, address: int) -> OpRecord:
+        """First fetch of *word*: decode it and cache its op record.
+
+        An undecodable word raises :class:`~repro.errors.DecodingError`
+        (reporting *address*) and leaves no entry behind.
+        """
+        instruction = self.get(word)
+        if instruction is None:
+            instruction = decode(word, address)
+            self[word] = instruction
+        record = op_record(instruction)
+        self.ops[word] = record
+        return record
 
 
 def _nop(regs, state, pc):
@@ -525,16 +545,6 @@ class FuncSim:
         #: States seen at control transfers since the last side effect.
         self._loop_seen: dict[tuple, int] = {}
 
-    def _translate(self, word: int, address: int) -> OpRecord:
-        """First fetch of *word*: decode it and cache its op record."""
-        instruction = self._decode_cache.get(word)
-        if instruction is None:
-            instruction = decode(word, address)
-            self._decode_cache[word] = instruction
-        record = op_record(instruction)
-        self._ops[word] = record
-        return record
-
     def _bind_phases(self):
         """The fetch, op-lookup and translate callables one ``run`` uses.
 
@@ -542,7 +552,7 @@ class FuncSim:
         (:mod:`repro.obs.profiler`) can shadow this method with timed
         versions without costing an unprofiled step anything.
         """
-        return self.state.memory.read_word, self._ops.get, self._translate
+        return self.state.memory.read_word, self._ops.get, self._decode_cache.translate
 
     def run(self, until: int | None = None) -> RunResult:
         """Execute until the program exits; return the :class:`RunResult`.

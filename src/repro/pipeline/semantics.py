@@ -1,16 +1,15 @@
 """Architected instruction semantics — the single source of truth.
 
-Both the functional ISS and the cycle-level pipeline call into this module,
-so their architected behaviour cannot diverge.  Each instruction's
-behaviour is defined once: arithmetic in the :data:`BRANCH_CONDITIONS`,
-:data:`ALU_OPS` and :data:`MULDIV_OPS` tables, memory accesses in
-:data:`LOADS` and :data:`STORES`, and addresses by :func:`branch_target`,
-:func:`jump_target`, :func:`link_value` and :func:`effective_address`.
-The functions over them are organised by pipeline stage:
-
-* :func:`branch_taken` / :func:`control_target` — resolved in ID.
-* :func:`alu_result` and :func:`muldiv_result` — the EX stage.
-* :func:`load_value` / :func:`store_value` — the MEM stage.
+Both the functional ISS and the cycle-level pipeline bind into this
+module, so their architected behaviour cannot diverge.  Each
+instruction's behaviour is defined once: arithmetic in the
+:data:`BRANCH_CONDITIONS`, :data:`ALU_OPS` and :data:`MULDIV_OPS` tables,
+memory accesses in :data:`LOADS` and :data:`STORES`, and addresses by
+:func:`branch_target`, :func:`jump_target`, :func:`link_value` and
+:func:`effective_address`.  Neither simulator looks an instruction up
+here per step: FuncSim's op records and PipelineCPU's stage records bind
+the entries of one instruction word once, when the word is first
+decoded.
 
 Arithmetic wraps modulo 2**32.  MIPS's signed-overflow traps on ``add``/
 ``addi``/``sub`` are not modelled (the workloads never rely on them and the
@@ -22,9 +21,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Mnemonic
-from repro.isa.properties import BRANCHES, DIRECT_JUMPS, INDIRECT_JUMPS
 from repro.utils.bitops import MASK32, to_signed32
 
 # ---------------------------------------------------------------------------
@@ -32,12 +29,9 @@ from repro.utils.bitops import MASK32, to_signed32
 # ---------------------------------------------------------------------------
 
 # The tables below are the one definition of each instruction's
-# arithmetic and memory access.  ``PipelineCPU`` reaches them through
-# :func:`branch_taken`, :func:`alu_result`, :func:`muldiv_result`,
-# :func:`load_value` and :func:`store_value`; ``FuncSim`` binds the same
-# functions into its predecoded op records once per instruction word.
-# Every function returns a value already inside ``[0, 2**32)`` when its
-# operands are, so callers may store results without re-masking.
+# arithmetic and memory access.  Every function returns a value already
+# inside ``[0, 2**32)`` when its operands are, so callers may store
+# results without re-masking.
 
 #: Conditional branches: ``taken(rs_value, rt_value)``.
 BRANCH_CONDITIONS: dict[Mnemonic, Callable[[int, int], bool]] = {
@@ -183,85 +177,11 @@ def link_value(address: int) -> int:
     return (address + 4) & MASK32
 
 
-def branch_taken(instruction: Instruction, rs_value: int, rt_value: int) -> bool:
-    """Whether a conditional branch is taken given its operand values."""
-    condition = BRANCH_CONDITIONS.get(instruction.mnemonic)
-    if condition is None:
-        raise ValueError(f"{instruction.mnemonic} is not a conditional branch")
-    return condition(rs_value, rt_value)
-
-
-def control_target(
-    instruction: Instruction, address: int, rs_value: int
-) -> int | None:
-    """Redirect target of the control-flow instruction at *address*.
-
-    Returns ``None`` for non-control-flow instructions and for traps
-    (syscall/break continue at PC+4 after the OS returns).  For conditional
-    branches this is the *taken* target; the caller combines it with
-    :func:`branch_taken`.
-    """
-    m = instruction.mnemonic
-    if m in BRANCHES:
-        return branch_target(address, instruction.imm)
-    if m in DIRECT_JUMPS:
-        return jump_target(address, instruction.target)
-    if m in INDIRECT_JUMPS:
-        return rs_value & MASK32
-    return None
-
-
 # ---------------------------------------------------------------------------
-# EX stage: ALU
+# EX stage: load/store addresses
 # ---------------------------------------------------------------------------
 
 
 def effective_address(base: int, offset: int) -> int:
     """Load/store address: base register plus sign-extended offset."""
     return (base + offset) & MASK32
-
-
-def alu_result(
-    instruction: Instruction, rs_value: int, rt_value: int
-) -> int | None:
-    """EX-stage result (register value or memory address), or ``None``.
-
-    For loads and stores this is the effective address.  Link values
-    (``jal``/``jalr``) are resolved in ID by :func:`link_value`.
-    """
-    entry = ALU_OPS.get(instruction.mnemonic)
-    if entry is None:
-        if instruction.is_load() or instruction.is_store():
-            return effective_address(rs_value, instruction.imm)
-        return None
-    form, fn = entry
-    if form is REG_REG:
-        return fn(rs_value, rt_value)
-    if form is REG_IMM:
-        return fn(rs_value, instruction.imm)
-    if form is SHIFT_IMM:
-        return fn(rt_value, instruction.shamt)
-    return fn(rt_value, rs_value)
-
-
-def muldiv_result(
-    instruction: Instruction, rs_value: int, rt_value: int
-) -> tuple[int, int] | None:
-    """(hi, lo) produced by a multiply/divide, or ``None``."""
-    fn = MULDIV_OPS.get(instruction.mnemonic)
-    return None if fn is None else fn(rs_value, rt_value)
-
-
-# ---------------------------------------------------------------------------
-# MEM stage
-# ---------------------------------------------------------------------------
-
-
-def load_value(instruction: Instruction, memory, address: int) -> int:
-    """Perform the MEM-stage read for a load instruction."""
-    return LOADS[instruction.mnemonic](memory, address)
-
-
-def store_value(instruction: Instruction, memory, address: int, value: int) -> None:
-    """Perform the MEM-stage write for a store instruction."""
-    STORES[instruction.mnemonic](memory, address, value)

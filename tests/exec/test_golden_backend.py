@@ -23,6 +23,7 @@ from repro.errors import ConfigurationError
 from repro.exec import CampaignRunner, CampaignSpec, build_golden_store, run_one_golden
 from repro.faults.campaign import FaultCampaign, Outcome, build_context, run_one
 from repro.faults.models import BitFlipFault, TransientFetchFault
+from repro.pipeline.funcsim import FuncSim
 
 
 def assert_equivalent(store, fault):
@@ -336,30 +337,38 @@ class TestGoldenStoreInternals:
         assert total == sha_store.golden_instructions
 
     def test_checkpoint_traces_share_one_list(self, sha_store):
-        """Each checkpoint marks the recording's trace instead of copying
-        it, so the store's pickle holds the trace once, whatever the
-        checkpoint count."""
-        store = build_golden_store(
-            sha_store.context, interval=sha_store.golden_instructions // 64
+        """Each snapshot of a traced run marks the run's trace instead of
+        copying it, so a pickle of the checkpoints holds the trace once,
+        whatever the checkpoint count."""
+        context = sha_store.context
+        simulator = FuncSim(
+            context.program, inputs=context.inputs, collect_trace=True
         )
-        assert len(store.checkpoints) > 60
-        stripped = dataclasses.replace(
-            store,
-            checkpoints=[
-                dataclasses.replace(
-                    checkpoint,
-                    sim=dataclasses.replace(checkpoint.sim, trace=None),
-                )
-                for checkpoint in store.checkpoints
-            ],
+        step = sha_store.golden_instructions // 64
+        snapshots = []
+        while True:
+            result = simulator.run(until=step * (len(snapshots) + 1))
+            if result.finished:
+                break
+            snapshots.append(simulator.snapshot())
+        assert len(snapshots) > 60
+        stripped = [
+            dataclasses.replace(snapshot, trace=None) for snapshot in snapshots
+        ]
+        trace = result.block_trace
+        marks = len(pickle.dumps((trace, snapshots))) - len(
+            pickle.dumps((trace, stripped))
         )
-        marks = len(pickle.dumps(store)) - len(pickle.dumps(stripped))
-        assert marks <= 64 * len(store.checkpoints)
+        assert marks <= 64 * len(snapshots)
 
     def test_trace_matches_context_executed_set(self, sha_store):
+        """The golden store keeps no trace: a traced run of the same
+        context visits exactly the context's executed set."""
         from repro.pipeline.trace import executed_addresses
 
-        assert (
-            executed_addresses(sha_store.trace)
-            == sha_store.context.executed_addresses
-        )
+        context = sha_store.context
+        assert not hasattr(sha_store, "trace")
+        result = FuncSim(
+            context.program, inputs=context.inputs, collect_trace=True
+        ).run()
+        assert executed_addresses(result.block_trace) == context.executed_addresses

@@ -79,9 +79,8 @@ class TestObserverOnly:
         assert isinstance(sim.monitor, _MonitorProxy)
         profiler.detach()
         assert not isinstance(sim.monitor, _MonitorProxy)
-        # No shadowing instance attributes left: methods resolve on the class.
-        shadowed = [name for name in vars(sim) if name.startswith("_fetch")]
-        assert shadowed == []
+        # No shadowing instance attribute left: the binder resolves on the class.
+        assert "_bind_phases" not in vars(sim)
 
     def test_unmonitored_run_profiles_without_monitor_bucket(self, engine):
         sim = build(engine, monitored=False)
@@ -99,7 +98,7 @@ class TestAttachment:
 
     def test_unprofilable_object_rejected(self):
         with pytest.raises(TypeError, match="cannot profile"):
-            PhaseProfiler.kind_of(object())
+            PhaseProfiler().attach(object())
 
     def test_render_is_a_table(self):
         sim = build(FuncSim)
